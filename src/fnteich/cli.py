@@ -53,7 +53,7 @@ def _parse_int(text: str) -> int:
 
 
 def _as_index(value: float, what: str) -> int:
-    if value != int(value):
+    if not float(value).is_integer():
         raise UsageError(f"{what} must be an integer, got {value}")
     return int(value)
 

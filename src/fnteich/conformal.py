@@ -15,6 +15,7 @@ inf that displaces the boundary like a time-t twist.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +28,8 @@ INF = math.inf
 def _agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean; converges quadratically."""
     for _ in range(64):
-        if abs(a - b) <= 1e-16 * a:
+        # two ulps: a and b can settle on neighbouring doubles
+        if abs(a - b) <= 2.0 * sys.float_info.epsilon * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
@@ -74,20 +76,6 @@ def grotzsch_lower_bound(r: float) -> float:
     if not 0.0 < r < 1.0:
         raise DomainError(f"requires 0 < r < 1, got {r}")
     return (2.0 / math.pi) * math.log((1.0 + math.sqrt(1.0 - r * r)) ** 2 / r)
-
-
-@dataclass(frozen=True)
-class GrotzschModulusValue:
-    r: float
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise DomainError("Grotzsch modulus must be positive")
-
-
-def grotzsch_value(r: float) -> GrotzschModulusValue:
-    return GrotzschModulusValue(r, grotzsch_modulus(r))
 
 
 def normalized_quad_modulus(x: float) -> float:

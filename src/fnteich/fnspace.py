@@ -388,25 +388,21 @@ def validate_pants_graph(g: PantsGraph) -> VerificationReport:
     offending pants or curve id."""
     report = VerificationReport("pants graph structure")
     for pi, node in enumerate(g.pants):
-        ok = len(node) == 3
-        report.add(f"pants[{pi}]_has_three_slots", (pi,),
-                   -abs(float(len(node) - 3)), 0.0, tol=0.0,
-                   note="" if ok else f"pants {pi} has {len(node)} slots")
-        if not ok:
+        if not report.check(f"pants[{pi}]_has_three_slots", (pi,),
+                            -abs(float(len(node) - 3)), 0.0):
+            report.note(f"pants {pi} has {len(node)} slots")
             return report
     slots = g.curve_slots()
     for curve in sorted(slots, key=str):
         n = len(slots[curve])
-        report.add(f"curve[{curve}]_slot_count_in_1_2", (str(curve),),
-                   float(min(n - 1, 2 - n)), 0.0, tol=0.0,
-                   note="" if 1 <= n <= 2 else
-                   f"curve {curve} referenced by {n} slots")
+        if not report.check(f"curve[{curve}]_slot_count_in_1_2",
+                            (str(curve),), float(min(n - 1, 2 - n)), 0.0):
+            report.note(f"curve {curve} referenced by {n} slots")
         expected = 1 if curve in g.boundary_curves else 2
-        report.add(f"curve[{curve}]_boundary_flag_consistent",
-                   (str(curve),), -abs(float(n - expected)), 0.0, tol=0.0,
-                   note="" if n == expected else
-                   f"curve {curve}: {n} slots but boundary flag expects "
-                   f"{expected}")
+        if not report.check(f"curve[{curve}]_boundary_flag_consistent",
+                            (str(curve),), -abs(float(n - expected)), 0.0):
+            report.note(f"curve {curve}: {n} slots but boundary flag "
+                        f"expects {expected}")
     return report
 
 

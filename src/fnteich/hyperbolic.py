@@ -291,15 +291,20 @@ class PantsBoundaryLengths:
         return (self.l1, self.l2, self.l3)
 
 
-def verify_pants_collar(l: PantsBoundaryLengths) -> VerificationReport:
+def verify_pants_collar(l: PantsBoundaryLengths,
+                        report: VerificationReport | None = None
+                        ) -> VerificationReport:
     """Check the nine collar-disjointness inequalities of a pair of pants.
 
     For each boundary i with l_i > 0, the two seams not opposite it
     satisfy b_j / 2 >= B(l_i), and the altitude satisfies h_i >= B(l_i),
     where the hexagon has half-length sides a_i = l_i / 2.  Boundaries
     with l_i = 0 (cusps) have infinite collars; their three inequalities
-    are recorded as skipped.
+    are counted as skipped.  The checks go into `report` (a fresh one
+    when None), which is returned.
     """
+    if report is None:
+        report = VerificationReport("pants collar inequalities")
     lengths = l.as_tuple()
     halves = tuple(v / 2.0 for v in lengths)
     ch = tuple(math.cosh(v) for v in halves)
@@ -309,25 +314,18 @@ def verify_pants_collar(l: PantsBoundaryLengths) -> VerificationReport:
     h = tuple(arcosh(math.sqrt(num) / sh[i]) if sh[i] > 0.0 else math.inf
               for i in range(3))
 
-    report = VerificationReport("pants collar inequalities")
     for i in range(3):
         if lengths[i] == 0.0:
-            for j in range(3):
-                if j != i:
-                    report.add(f"seam_b{j + 1}/2>=B(l{i + 1})", lengths,
-                               math.nan, math.nan, skipped=True,
-                               note="cusp boundary: collar is infinite")
-            report.add(f"altitude_h{i + 1}>=B(l{i + 1})", lengths,
-                       math.nan, math.nan, skipped=True,
-                       note="cusp boundary: collar is infinite")
+            for _ in range(3):
+                report.skip()
             continue
         margin = collar_margin(lengths[i])
         for j in range(3):
             if j != i:
-                report.add(f"seam_b{j + 1}/2>=B(l{i + 1})", lengths,
-                           b[j] / 2.0, margin, tol=COLLAR_SLACK_TOL)
-        report.add(f"altitude_h{i + 1}>=B(l{i + 1})", lengths,
-                   h[i], margin, tol=COLLAR_SLACK_TOL)
+                report.check(f"seam_b{j + 1}/2>=B(l{i + 1})", lengths,
+                             b[j] / 2.0, margin, tol=COLLAR_SLACK_TOL)
+        report.check(f"altitude_h{i + 1}>=B(l{i + 1})", lengths,
+                     h[i], margin, tol=COLLAR_SLACK_TOL)
     return report
 
 

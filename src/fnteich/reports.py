@@ -1,9 +1,12 @@
 """Check records and verification reports.
 
-A VerificationReport is the return value of every grid- or case-level
-inequality checker in this package.  Each individual comparison becomes a
-CheckRecord carrying lhs, rhs and the signed slack lhs - rhs, so that a
-report can be rendered or dumped to CSV without re-running anything.
+A VerificationReport is the sink every grid- or case-level inequality
+checker in this package writes into.  It streams: each comparison of lhs
+against rhs updates the check count and the minimum slack lhs - rhs, is
+written as one CSV row when the report has a writer, and is kept as a
+CheckRecord only if it fails, so big grids never hold every record.
+Output is deterministic: failures are sorted by name and input tuple,
+and the only time-dependent line is the trailing wall-time comment.
 """
 
 from __future__ import annotations
@@ -16,57 +19,73 @@ from typing import Mapping
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """A failed comparison, with the signed slack lhs - rhs."""
+
     name: str
     inputs: tuple
     lhs: float
     rhs: float
     slack: float
-    passed: bool
-    skipped: bool = False
-    note: str = ""
-
-    def csv_row(self):
-        return (self.name, *self.inputs, repr(self.lhs), repr(self.rhs),
-                repr(self.slack))
 
 
 @dataclass
 class VerificationReport:
     title: str
-    checks: list[CheckRecord] = field(default_factory=list)
+    grid_desc: str = ""
+    csv_writer: object = None
+    total: int = 0
+    skipped: int = 0
+    failures: list[CheckRecord] = field(default_factory=list)
+    min_slack: float = math.inf
     notes: list[str] = field(default_factory=list)
+    wall_time: float = 0.0
 
-    def add(self, name, inputs, lhs, rhs, tol=0.0, skipped=False, note=""):
-        if skipped:
-            rec = CheckRecord(name, tuple(inputs), math.nan, math.nan,
-                              math.nan, passed=True, skipped=True, note=note)
-        else:
-            slack = lhs - rhs
-            rec = CheckRecord(name, tuple(inputs), lhs, rhs, slack,
-                              passed=slack >= -tol, note=note)
-        self.checks.append(rec)
-        return rec
+    def check(self, name, inputs, lhs, rhs, tol=0.0) -> bool:
+        """Record lhs >= rhs - tol; returns whether it held."""
+        slack = lhs - rhs
+        self.total += 1
+        if math.isfinite(slack):
+            self.min_slack = min(self.min_slack, slack)
+        passed = slack >= -tol
+        if not passed:
+            self.failures.append(
+                CheckRecord(name, tuple(inputs), lhs, rhs, slack))
+        if self.csv_writer is not None:
+            self.csv_writer.writerow((name,
+                                      " ".join(repr(v) for v in inputs),
+                                      repr(lhs), repr(rhs), repr(slack)))
+        return passed
+
+    def skip(self):
+        """Count a check that does not apply (for example at a cusp)."""
+        self.skipped += 1
+
+    def note(self, text):
+        self.notes.append(text)
 
     @property
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    @property
-    def skipped(self):
-        return [c for c in self.checks if c.skipped]
-
-    @property
-    def all_passed(self):
+    def passed(self) -> bool:
         return not self.failures
 
-    @property
-    def min_slack(self):
-        slacks = [c.slack for c in self.checks
-                  if not c.skipped and math.isfinite(c.slack)]
-        return min(slacks) if slacks else math.inf
-
-    def counted(self):
-        return len([c for c in self.checks if not c.skipped])
+    def render(self, fmt=repr) -> str:
+        lines = [f"suite {self.title}",
+                 f"grid {self.grid_desc}",
+                 f"checks {self.total}",
+                 f"skipped {self.skipped}",
+                 f"failures {len(self.failures)}"]
+        for rec in sorted(self.failures, key=lambda r: (r.name, r.inputs)):
+            ins = " ".join(f"{v:g}" if isinstance(v, float) else str(v)
+                           for v in rec.inputs)
+            lines.append(f"fail {rec.name} inputs [{ins}] lhs "
+                         f"{fmt(rec.lhs)} rhs {fmt(rec.rhs)} slack "
+                         f"{fmt(rec.slack)}")
+        ms = self.min_slack
+        lines.append(f"min_slack {fmt(ms) if math.isfinite(ms) else 'inf'}")
+        for note in self.notes:
+            lines.append(f"note {note}")
+        lines.append(f"status {'PASS' if self.passed else 'FAIL'}")
+        lines.append(f"# wall_time_s {self.wall_time:.3f}")
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

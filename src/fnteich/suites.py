@@ -1,18 +1,17 @@
 """Named verification suites behind the `verify` command.
 
 Each suite sweeps a grid (or a seeded random sample), evaluates both
-sides of every inequality it owns, and aggregates failures, the minimum
-slack seen, and explanatory notes into a SuiteResult.  Output is
-deterministic: grids and seeds are fixed and printed, failures are
-sorted by input tuple, and the only time-dependent line is the trailing
-wall-time comment.
+sides of every inequality it owns, and streams every check and its
+explanatory notes into a VerificationReport, which it returns.  Grids
+and seeds are fixed and printed, so the rendered report is the same on
+every run apart from its wall-time line.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import fnspace as fns
 from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import UsageError
-from .reports import CheckRecord
+from .reports import VerificationReport
 
 DISTANCE_SEED = 74520231
 METRIC_SEED = 911003
@@ -68,118 +67,40 @@ class GridSpec:
         return f"{self.lo:g}:{self.hi:g}:{self.steps}"
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    grid_desc: str
-    total: int = 0
-    skipped: int = 0
-    failures: list = field(default_factory=list)
-    min_slack: float = math.inf
-    notes: list = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def render(self, fmt=repr) -> str:
-        lines = [f"suite {self.name}",
-                 f"grid {self.grid_desc}",
-                 f"checks {self.total}",
-                 f"skipped {self.skipped}",
-                 f"failures {len(self.failures)}"]
-        for rec in sorted(self.failures, key=lambda r: (r.name, r.inputs)):
-            ins = " ".join(f"{v:g}" if isinstance(v, float) else str(v)
-                           for v in rec.inputs)
-            lines.append(f"fail {rec.name} inputs [{ins}] lhs "
-                         f"{fmt(rec.lhs)} rhs {fmt(rec.rhs)} slack "
-                         f"{fmt(rec.slack)}")
-        ms = self.min_slack
-        lines.append(f"min_slack {fmt(ms) if math.isfinite(ms) else 'inf'}")
-        for note in self.notes:
-            lines.append(f"note {note}")
-        lines.append(f"status {'PASS' if self.passed else 'FAIL'}")
-        lines.append(f"# wall_time_s {self.wall_time:.3f}")
-        return "\n".join(lines) + "\n"
-
-
-class _Run:
-    """Streaming aggregator so big grids never hold every record."""
-
-    def __init__(self, name, grid_desc, csv_writer=None):
-        self.result = SuiteResult(name, grid_desc)
-        self._csv = csv_writer
-        self._t0 = time.perf_counter()
-
-    def check(self, name, inputs, lhs, rhs, tol=0.0):
-        slack = lhs - rhs
-        self.result.total += 1
-        if math.isfinite(slack):
-            self.result.min_slack = min(self.result.min_slack, slack)
-        passed = slack >= -tol
-        if not passed:
-            self.result.failures.append(
-                CheckRecord(name, tuple(inputs), lhs, rhs, slack, False))
-        if self._csv is not None:
-            self._csv.writerow((name,
-                                " ".join(repr(v) for v in inputs),
-                                repr(lhs), repr(rhs), repr(slack)))
-        return passed
-
-    def absorb(self, report):
-        for rec in report.checks:
-            if rec.skipped:
-                self.result.skipped += 1
-                continue
-            self.result.total += 1
-            if math.isfinite(rec.slack):
-                self.result.min_slack = min(self.result.min_slack, rec.slack)
-            if not rec.passed:
-                self.result.failures.append(rec)
-            if self._csv is not None:
-                self._csv.writerow(rec.csv_row())
-
-    def note(self, text):
-        self.result.notes.append(text)
-
-    def finish(self) -> SuiteResult:
-        self.result.wall_time = time.perf_counter() - self._t0
-        return self.result
-
-
 # ---------------------------------------------------------------------
 
 
-def run_collar(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
+def run_collar(grid: GridSpec | None = None,
+               csv_writer=None) -> VerificationReport:
     """All nine collar-disjointness inequalities on a log grid of
     boundary-length triples, plus the 1D chain step
     (1/2) arcosh(coth(l/2)) >= B(l) reported separately."""
     grid = grid or GridSpec(0.05, 10.0, 20)
     axis = grid.log_points()
-    run = _Run("collar", f"l per axis {grid.describe()} (log), 3 axes",
-               csv_writer)
+    report = VerificationReport(
+        "collar", f"l per axis {grid.describe()} (log), 3 axes", csv_writer)
     for l1 in axis:
         for l2 in axis:
             for l3 in axis:
-                run.absorb(hyp.verify_pants_collar(
-                    hyp.PantsBoundaryLengths(l1, l2, l3)))
+                hyp.verify_pants_collar(
+                    hyp.PantsBoundaryLengths(l1, l2, l3), report)
     chain_bad = 0
     for l in axis:
         mid, margin = hyp.halfseam_intermediate_bound(l)
-        if not run.check("chainstep_halfseam>=B", (l,), mid, margin,
-                         tol=1e-12):
+        if not report.check("chainstep_halfseam>=B", (l,), mid, margin,
+                            tol=1e-12):
             chain_bad += 1
-    run.note(f"intermediate chain step violations: {chain_bad}")
-    return run.finish()
+    report.note(f"intermediate chain step violations: {chain_bad}")
+    return report
 
 
-def run_hexagon(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
+def run_hexagon(grid: GridSpec | None = None,
+                csv_writer=None) -> VerificationReport:
     """Alternating-sides round trip a -> b -> a within 1e-9 relative."""
     grid = grid or GridSpec(0.05, 10.0, 15)
     axis = grid.log_points()
-    run = _Run("hexagon", f"a per axis {grid.describe()} (log), 3 axes",
-               csv_writer)
+    report = VerificationReport(
+        "hexagon", f"a per axis {grid.describe()} (log), 3 axes", csv_writer)
     for a1 in axis:
         for a2 in axis:
             for a3 in axis:
@@ -188,107 +109,114 @@ def run_hexagon(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
                 back = hyp.hexagon_sides(hyp.HexagonAlternatingSides(*b))
                 err = max(abs(x - y) / y for x, y in
                           zip(back, (a1, a2, a3)))
-                run.check("roundtrip_rel_err<=1e-9", (a1, a2, a3),
-                          1e-9, err)
-    return run.finish()
+                report.check("roundtrip_rel_err<=1e-9", (a1, a2, a3),
+                             1e-9, err)
+    return report
 
 
-def run_mu(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
+def run_mu(grid: GridSpec | None = None,
+           csv_writer=None) -> VerificationReport:
     """Grotzsch modulus: the classical lower bound, the derivative
     formula against central differences, the symmetric value pi/2, the
     complementary-product identity, and monotonicity of the dilatation
     floor built from it."""
-    run = _Run("mu", "r 0.01:0.99:99 (lin); fd 0.05:0.95:181; t 0:20:401",
-               csv_writer)
+    report = VerificationReport(
+        "mu", "r 0.01:0.99:99 (lin); fd 0.05:0.95:181; t 0:20:401",
+        csv_writer)
     min_lb_slack = math.inf
     for k in range(1, 100):
         r = k / 100.0
         mu = cf.grotzsch_modulus(r)
         lb = cf.grotzsch_lower_bound(r)
-        run.check("mu>lower_bound", (r,), mu, lb)
+        report.check("mu>lower_bound", (r,), mu, lb)
         min_lb_slack = min(min_lb_slack, mu - lb)
         prod = mu * cf.grotzsch_modulus(math.sqrt(1.0 - r * r))
-        run.check("mu_product_identity", (r,), 1e-9,
-                  abs(prod - math.pi ** 2 / 4.0))
-    run.note(f"minimum lower-bound slack observed: {min_lb_slack!r}")
+        report.check("mu_product_identity", (r,), 1e-9,
+                     abs(prod - math.pi ** 2 / 4.0))
+    report.note(f"minimum lower-bound slack observed: {min_lb_slack!r}")
     step = 1e-6
     for k in range(181):
         r = 0.05 + 0.9 * k / 180.0
         fd = (cf.grotzsch_modulus(r + step)
               - cf.grotzsch_modulus(r - step)) / (2.0 * step)
         formula = cf.grotzsch_modulus_derivative(r)
-        run.check("mu_derivative_vs_fd", (r,), 1e-6,
-                  abs(formula - fd) / abs(fd))
-    run.check("mu_at_symmetric_point", (0.5 ** 0.5,), 1e-10,
-              abs(cf.grotzsch_modulus(1.0 / math.sqrt(2.0))
-                  - math.pi / 2.0))
-    run.check("floor_at_zero", (0.0,), 1e-9,
-              abs(cf.twist_min_dilatation(0.0) - 1.0))
+        report.check("mu_derivative_vs_fd", (r,), 1e-6,
+                     abs(formula - fd) / abs(fd))
+    report.check("mu_at_symmetric_point", (0.5 ** 0.5,), 1e-10,
+                 abs(cf.grotzsch_modulus(1.0 / math.sqrt(2.0))
+                     - math.pi / 2.0))
+    report.check("floor_at_zero", (0.0,), 1e-9,
+                 abs(cf.twist_min_dilatation(0.0) - 1.0))
     prev = cf.twist_min_dilatation(0.0)
     for k in range(1, 401):
         t = 20.0 * k / 400.0
         cur = cf.twist_min_dilatation(t)
-        run.check("floor_strictly_increasing", (t,), cur, prev,
-                  tol=-1e-15)
+        report.check("floor_strictly_increasing", (t,), cur, prev,
+                     tol=-1e-15)
         prev = cur
-    return run.finish()
+    return report
 
 
 def run_twist_lower(grid: GridSpec | None = None,
-                    csv_writer=None) -> SuiteResult:
+                    csv_writer=None) -> VerificationReport:
     """Explicit-map dilatation dominates the dilatation floor on a
     (length, time) grid."""
     grid = grid or GridSpec(0.1, 5.0, 50)
     lengths = grid.log_points()
     times = GridSpec(0.0, 10.0, 50).lin_points(open_lo=True)
-    run = _Run("twist-lower",
-               f"l {grid.describe()} (log) x t 0:10:50 (lin, open at 0)",
-               csv_writer)
+    report = VerificationReport(
+        "twist-lower",
+        f"l {grid.describe()} (log) x t 0:10:50 (lin, open at 0)",
+        csv_writer)
     floors = [cf.twist_min_dilatation(t) for t in times]
     for l in lengths:
         angle = hyp.collar_data(l).angle
         for t, floor in zip(times, floors):
             k = cf.affine_dilatation(t / (2.0 * angle)).k
-            run.check("K_constructed>=floor", (l, t), k, floor, tol=1e-10)
-    return run.finish()
+            report.check("K_constructed>=floor", (l, t), k, floor, tol=1e-10)
+    return report
 
 
-def run_delta(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
+def run_delta(grid: GridSpec | None = None,
+              csv_writer=None) -> VerificationReport:
     """Inversion of the dilatation floor: for each cap L the returned
     (T, delta) satisfy floor(T) = L to 1e-12 and t <= delta log floor(t)
     at 100 points of (0, T]."""
     caps = (1.5, 2.0, 5.0, 10.0)
-    run = _Run("delta", f"caps {caps}; 100 points per cap", csv_writer)
+    report = VerificationReport(
+        "delta", f"caps {caps}; 100 points per cap", csv_writer)
     for cap in caps:
         res = tw.twist_delta(cap)
-        run.check("floor_at_threshold", (cap,), 1e-12,
-                  abs(res.floor_at_threshold - cap))
+        report.check("floor_at_threshold", (cap,), 1e-12,
+                     abs(res.floor_at_threshold - cap))
         for k in range(1, 101):
             t = res.threshold_time * k / 100.0
-            run.check("t<=delta*log_floor", (cap, t),
-                      res.delta * math.log(cf.twist_min_dilatation(t)), t,
-                      tol=1e-12)
-    return run.finish()
+            report.check("t<=delta*log_floor", (cap, t),
+                         res.delta * math.log(cf.twist_min_dilatation(t)), t,
+                         tol=1e-12)
+    return report
 
 
-def run_angle(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
+def run_angle(grid: GridSpec | None = None,
+              csv_writer=None) -> VerificationReport:
     """Seam-angle machinery: the angle bound is positive and decreasing
     in the length cap; the crossing-point lies on its circle; the
     two-ratio quantity is identified against the direct-distance oracle;
     the end inequality is surveyed and reported, not asserted."""
     grid = grid or GridSpec(0.1, 20.0, 40)
     caps = grid.log_points()
-    run = _Run("angle", f"cap {grid.describe()} (log); "
-               "kit c x theta survey", csv_writer)
+    report = VerificationReport(
+        "angle", f"cap {grid.describe()} (log); kit c x theta survey",
+        csv_writer)
     prev = None
     for cap in caps:
         phi = tw.seam_angle_bound(cap)
-        run.check("angle_bound_positive", (cap,), phi, 0.0, tol=-0.0)
+        report.check("angle_bound_positive", (cap,), phi, 0.0, tol=-0.0)
         if prev is not None:
-            run.check("angle_bound_decreasing", (cap,), prev, phi)
+            report.check("angle_bound_decreasing", (cap,), prev, phi)
         prev = phi
-    run.check("angle_bound_small_cap_limit", (1e-12,),
-              tw.seam_angle_bound(1e-12), 1.5)
+    report.check("angle_bound_small_cap_limit", (1e-12,),
+                 tw.seam_angle_bound(1e-12), 1.5)
 
     end_violations = []
     interp = set()
@@ -296,24 +224,24 @@ def run_angle(grid: GridSpec | None = None, csv_writer=None) -> SuiteResult:
         for k in range(1, 9):
             theta = 0.18 * k
             rep = tw.seam_angle_kit(tw.SeamAngleInstance(c, theta))
-            run.check("point_on_circle", (c, theta), 1e-12,
-                      abs(rep.circle_residual_scaled))
+            report.check("point_on_circle", (c, theta), 1e-12,
+                         abs(rep.circle_residual_scaled))
             interp.add(rep.interpretation)
             if not rep.end_inequality_holds:
                 end_violations.append((c, theta))
-    run.note(f"two-ratio quantity matches: {sorted(interp)} "
-             "(the exponentiated cross ratio, not a squared distance)")
-    run.note(f"end-inequality violations (reported, not asserted): "
-             f"{end_violations if end_violations else 'none'}")
+    report.note(f"two-ratio quantity matches: {sorted(interp)} "
+                "(the exponentiated cross ratio, not a squared distance)")
+    report.note(f"end-inequality violations (reported, not asserted): "
+                f"{end_violations if end_violations else 'none'}")
     chained, printed = tw.seam_angle_cot_bounds(1.0)
-    run.note(f"cot bounds at cap 1: chained {chained!r}, printed variant "
-             f"{printed!r}; the printed variant is not monotone in the "
-             "cap and is not used")
-    return run.finish()
+    report.note(f"cot bounds at cap 1: chained {chained!r}, printed variant "
+                f"{printed!r}; the printed variant is not monotone in the "
+                "cap and is not used")
+    return report
 
 
 def run_sandwich(grid: GridSpec | None = None,
-                 csv_writer=None) -> SuiteResult:
+                 csv_writer=None) -> VerificationReport:
     """Two-sided consistency of the bound chain on a (d, N, C) grid:
     feeding the forward bound through the reverse constant recovers at
     least d; single-route bounds never exceed the combined one; bounds
@@ -322,9 +250,9 @@ def run_sandwich(grid: GridSpec | None = None,
     ds = GridSpec(0.0, 5.0, 10).lin_points()
     ns = grid.log_points()
     cs = grid.log_points()
-    run = _Run("sandwich",
-               f"d 0:5:10 (lin) x N {grid.describe()} (log) x C "
-               f"{grid.describe()} (log)", csv_writer)
+    report = VerificationReport(
+        "sandwich", f"d 0:5:10 (lin) x N {grid.describe()} (log) x C "
+        f"{grid.describe()} (log)", csv_writer)
     note_seen = False
     for n in ns:
         for c in cs:
@@ -334,13 +262,13 @@ def run_sandwich(grid: GridSpec | None = None,
                 combined = qb.combined_qc_upper(d, assume)
                 twist_only = qb.twist_change_bound(d, assume)
                 back = qb.fn_from_qc_upper(combined.upper, assume)
-                run.check("d<=reverse_of_forward", (d, n, c),
-                          back.upper, d, tol=1e-12)
-                run.check("twist_route<=combined", (d, n, c),
-                          combined.upper, twist_only.upper, tol=1e-12)
+                report.check("d<=reverse_of_forward", (d, n, c),
+                             back.upper, d, tol=1e-12)
+                report.check("twist_route<=combined", (d, n, c),
+                             combined.upper, twist_only.upper, tol=1e-12)
                 if prev_combined is not None:
-                    run.check("combined_monotone_in_d", (d, n, c),
-                              combined.upper, prev_combined, tol=1e-12)
+                    report.check("combined_monotone_in_d", (d, n, c),
+                                 combined.upper, prev_combined, tol=1e-12)
                 prev_combined = combined.upper
                 note_seen = (note_seen
                              or qb.CYLINDER_LENGTH_NOTE in combined.notes)
@@ -351,8 +279,8 @@ def run_sandwich(grid: GridSpec | None = None,
                 val = qb.combined_qc_upper(
                     d, qb.BoundAssumptions(cap=n, bishop_c=c)).upper
                 if prev is not None:
-                    run.check("combined_monotone_in_C", (d, n, c),
-                              val, prev, tol=1e-12)
+                    report.check("combined_monotone_in_C", (d, n, c),
+                                 val, prev, tol=1e-12)
                 prev = val
         for c in (1.0,):
             prev = None
@@ -361,40 +289,41 @@ def run_sandwich(grid: GridSpec | None = None,
                     d, qb.BoundAssumptions(cap=n, bishop_c=c)
                 ).forward_lipschitz
                 if prev is not None:
-                    run.check("constants_degrade_with_cap", (d, n, c),
-                              lip, prev, tol=1e-12)
+                    report.check("constants_degrade_with_cap", (d, n, c),
+                                 lip, prev, tol=1e-12)
                 prev = lip
-    run.check("cylinder_note_present", (), 1.0 if note_seen else -1.0, 0.0)
-    run.note(qb.CYLINDER_LENGTH_NOTE)
-    return run.finish()
+    report.check("cylinder_note_present", (), 1.0 if note_seen else -1.0, 0.0)
+    report.note(qb.CYLINDER_LENGTH_NOTE)
+    return report
 
 
 def run_example81(grid: GridSpec | None = None,
-                  csv_writer=None) -> SuiteResult:
+                  csv_writer=None) -> VerificationReport:
     """The chained-pants arc: cosh^2 of the returning arc is bounded over
     n in [1, 10^6], non-increasing, with supremum 4 coth(1)^2 at n = 1;
     the often-quoted cap 3 coth(1)^2 is surveyed and its violation at
     n = 1 reported."""
     n_max = int(grid.hi) if grid is not None else 10 ** 6
-    run = _Run("example81", f"n 1:{n_max} (all integers)", csv_writer)
+    report = VerificationReport(
+        "example81", f"n 1:{n_max} (all integers)", csv_writer)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     inv_sinh = 2.0 * np.exp(-n) / (1.0 - np.exp(-2.0 * n))
     base = 1.0 / np.tanh(n) + math.cosh(1.0) * inv_sinh
     cosh_sq = base * base
     coth1_sq = 1.0 / math.tanh(1.0) ** 2
-    run.check("sup_attained_at_n1", (1,), 1e-9,
-              abs(cosh_sq[0] - 4.0 * coth1_sq))
-    run.check("bounded_by_4coth2", (n_max,), 4.0 * coth1_sq + 1e-9,
-              float(np.max(cosh_sq)))
-    run.check("nonincreasing", (n_max,), float(-np.max(np.diff(cosh_sq))),
-              0.0, tol=1e-15)
+    report.check("sup_attained_at_n1", (1,), 1e-9,
+                 abs(cosh_sq[0] - 4.0 * coth1_sq))
+    report.check("bounded_by_4coth2", (n_max,), 4.0 * coth1_sq + 1e-9,
+                 float(np.max(cosh_sq)))
+    report.check("nonincreasing", (n_max,), float(-np.max(np.diff(cosh_sq))),
+                 0.0, tol=1e-15)
     over3 = np.nonzero(cosh_sq > 3.0 * coth1_sq)[0]
-    run.note(f"cap 3*coth(1)^2 = {3.0 * coth1_sq!r} violated at n = "
-             f"{[int(i) + 1 for i in over3]}; observed supremum "
-             f"{float(cosh_sq[0])!r} = 4*coth(1)^2 at n = 1")
-    run.check("limit_to_one", (n_max,), 1e-6,
-              abs(float(cosh_sq[-1]) - 1.0))
-    return run.finish()
+    report.note(f"cap 3*coth(1)^2 = {3.0 * coth1_sq!r} violated at n = "
+                f"{[int(i) + 1 for i in over3]}; observed supremum "
+                f"{float(cosh_sq[0])!r} = 4*coth(1)^2 at n = 1")
+    report.check("limit_to_one", (n_max,), 1e-6,
+                 abs(float(cosh_sq[-1]) - 1.0))
+    return report
 
 
 def _random_window(rng, size, pattern):
@@ -407,15 +336,16 @@ def _random_window(rng, size, pattern):
 
 
 def run_metric_axioms(grid: GridSpec | None = None,
-                      csv_writer=None) -> SuiteResult:
+                      csv_writer=None) -> VerificationReport:
     """Pseudometric axioms and the sup-norm embedding identity on seeded
     random windows, plus the algebraic form of the length-distortion
     check."""
     trials = grid.steps if grid is not None else 1000
     rng = np.random.default_rng(METRIC_SEED)
-    run = _Run("metric-axioms",
-               f"{trials} random windows of size <= 200, seed "
-               f"{METRIC_SEED}", csv_writer)
+    report = VerificationReport(
+        "metric-axioms",
+        f"{trials} random windows of size <= 200, seed {METRIC_SEED}",
+        csv_writer)
     for trial in range(trials):
         size = int(rng.integers(1, 201))
         pattern = rng.random(size) < 0.15
@@ -427,12 +357,12 @@ def run_metric_axioms(grid: GridSpec | None = None,
         dxz = fns.fn_distance(x, z).value
         dyz = fns.fn_distance(y, z).value
         sup = fns.supnorm_distance(fns.to_linf(x), fns.to_linf(y))
-        run.check("embedding_isometry_exact", (trial,), 0.0,
-                  abs(dxy - sup))
-        run.check("symmetry_exact", (trial,), 0.0, abs(dxy - dyx))
-        run.check("identity_zero", (trial,),
-                  0.0, fns.fn_distance(x, x).value)
-        run.check("triangle", (trial,), dxy + dyz, dxz, tol=1e-12)
+        report.check("embedding_isometry_exact", (trial,), 0.0,
+                     abs(dxy - sup))
+        report.check("symmetry_exact", (trial,), 0.0, abs(dxy - dyx))
+        report.check("identity_zero", (trial,),
+                     0.0, fns.fn_distance(x, x).value)
+        report.check("triangle", (trial,), dxy + dyz, dxz, tol=1e-12)
     axis = [float(v) for v in np.geomspace(0.1, 10.0, 7)]
     for lx in axis:
         for ly in axis:
@@ -440,28 +370,28 @@ def run_metric_axioms(grid: GridSpec | None = None,
                 res = fns.wolpert_check(lx, ly, k)
                 algebraic = (abs(math.log(lx) - math.log(ly))
                              <= math.log(k))
-                run.check("wolpert_equivalence", (lx, ly, k),
-                          1.0 if res.passed == algebraic else -1.0, 0.0)
-    return run.finish()
+                report.check("wolpert_equivalence", (lx, ly, k),
+                             1.0 if res.passed == algebraic else -1.0, 0.0)
+    return report
 
 
 def run_distance_oracle(grid: GridSpec | None = None,
-                        csv_writer=None) -> SuiteResult:
+                        csv_writer=None) -> VerificationReport:
     """Cross-ratio route against the cosh route on seeded random point
     pairs with heights spread over six decades."""
     pairs = grid.steps if grid is not None else 10 ** 4
     rng = np.random.default_rng(DISTANCE_SEED)
-    run = _Run("distance-oracle",
-               f"{pairs} random pairs, x in [-5,5], y log-uniform "
-               f"[1e-3,1e3], seed {DISTANCE_SEED}", csv_writer)
+    report = VerificationReport(
+        "distance-oracle", f"{pairs} random pairs, x in [-5,5], y "
+        f"log-uniform [1e-3,1e3], seed {DISTANCE_SEED}", csv_writer)
     for k in range(pairs):
         z = hyp.hp(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0))
         w = hyp.hp(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0))
         d1 = hyp.hyp_distance(z, w)
         d2 = hyp.hyp_distance_crossratio(z, w)
-        run.check("crossratio_vs_cosh_rel", (z.x, z.y, w.x, w.y),
-                  1e-10, abs(d1 - d2) / d1)
-    return run.finish()
+        report.check("crossratio_vs_cosh_rel", (z.x, z.y, w.x, w.y),
+                     1e-10, abs(d1 - d2) / d1)
+    return report
 
 
 SUITES = {
@@ -479,8 +409,11 @@ SUITES = {
 
 
 def run_suite(name: str, grid: GridSpec | None = None,
-              csv_writer=None) -> SuiteResult:
+              csv_writer=None) -> VerificationReport:
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; expected one of "
                          f"{sorted(SUITES)} or 'all'")
-    return SUITES[name](grid, csv_writer)
+    t0 = time.perf_counter()
+    report = SUITES[name](grid, csv_writer)
+    report.wall_time = time.perf_counter() - t0
+    return report

@@ -104,9 +104,9 @@ def twist_lower_bound_check(s: TwistScenario) -> VerificationReport:
     constructed = twist_dilatation(s).k
     floor = twist_min_dilatation(s.twist_time)
     report = VerificationReport("twist dilatation floor")
-    report.add("K_constructed>=dilatation_floor",
-               (s.curve_length, s.twist_time), constructed, floor,
-               tol=1e-10)
+    report.check("K_constructed>=dilatation_floor",
+                 (s.curve_length, s.twist_time), constructed, floor,
+                 tol=1e-10)
     return report
 
 
@@ -114,15 +114,15 @@ def twist_lower_bound_check(s: TwistScenario) -> VerificationReport:
 class TwistDeltaResult:
     threshold_time: float      # T with twist_min_dilatation(T) = cap
     delta: float               # t <= delta * log K for all t in (0, T]
-    min_slope: float           # least derivative of the floor on [0, T]
+    min_slope: float           # h'(0), the least derivative of the floor
     floor_at_threshold: float
 
 
-def twist_delta(cap: float, slope_grid: int = 512) -> TwistDeltaResult:
+def twist_delta(cap: float) -> TwistDeltaResult:
     """Invert the dilatation floor: given a dilatation cap L > 1, find T
-    with floor(T) = L by bisection (|floor(T) - L| <= 1e-12), take D =
-    min of the floor's derivative over [0, T] on a dense grid, and set
-    delta = T / log(1 + D T).  Convexity of exp gives
+    with floor(T) = L by bisection (|floor(T) - L| <= 1e-12), take
+    D = h'(0), which is the least derivative of the floor because h' is
+    increasing, and set delta = T / log(1 + D T).  Convexity of exp gives
     e^(t/delta) <= 1 + D t <= floor(t) on [0, T], hence
     t <= delta log(floor(t)) <= delta log K for any realizing map."""
     if not cap > 1.0:
@@ -150,8 +150,7 @@ def twist_delta(cap: float, slope_grid: int = 512) -> TwistDeltaResult:
         raise DomainError(
             f"bisection cannot reach the cap {cap} within tolerance "
             f"(best floor value {val})")
-    slope = min(twist_min_dilatation_derivative(t * k / slope_grid)
-                for k in range(slope_grid + 1))
+    slope = twist_min_dilatation_derivative(0.0)
     m = math.log1p(slope * t) / t
     return TwistDeltaResult(threshold_time=t, delta=1.0 / m,
                             min_slope=slope,

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -62,6 +63,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "hexagon-alt", "1", "1", "1",
                            "2.5")
         assert code == 2
+        for bad in ("nan", "inf"):
+            for argv in (("arc81", bad), ("hexagon-alt", "1", "1", "1", bad)):
+                code, _, err = run(capsys, "eval", *argv)
+                assert code == 2, argv
+                assert "must be an integer" in err
 
 
 class TestExampleAndDist:
@@ -205,14 +211,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "collar", "--grid", "1:2")
         assert code == 2
 
-    def test_csv_written(self, capsys, tmp_path):
+    @pytest.mark.parametrize("suite,rows", [("hexagon", 27),
+                                            ("collar", 246)])
+    def test_csv_written(self, capsys, tmp_path, suite, rows):
         csv_path = tmp_path / "out.csv"
-        code, _, _ = run(capsys, "verify", "hexagon", "--grid", "0.5:2:3",
+        code, _, _ = run(capsys, "verify", suite, "--grid", "0.5:2:3",
                          "--csv", str(csv_path))
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "check,inputs,lhs,rhs,slack"
-        assert len(lines) == 1 + 27
+        assert len(lines) == 1 + rows
+        with open(csv_path, newline="") as fh:
+            assert all(len(row) == 5 for row in csv.reader(fh))
 
     def test_deterministic_output_except_walltime(self, capsys):
         _, out1, _ = run(capsys, "verify", "mu")

@@ -96,12 +96,6 @@ class TestGrotzschModulus:
             with pytest.raises(DomainError):
                 grotzsch_modulus(r)
 
-    def test_value_record(self):
-        from fnteich.conformal import grotzsch_value
-        val = grotzsch_value(0.5)
-        assert val.r == 0.5
-        assert val.mu == grotzsch_modulus(0.5)
-
 
 class TestDilatationFloor:
     def test_at_zero(self):

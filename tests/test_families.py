@@ -104,14 +104,14 @@ class TestChainedPants:
     def test_minimal_truncation(self):
         model = pants1_graph(1)
         assert len(model.graph.pants) == 2
-        assert validate_pants_graph(model.graph).all_passed
-        assert validate_pants_graph(model.recut_graph).all_passed
+        assert validate_pants_graph(model.graph).passed
+        assert validate_pants_graph(model.recut_graph).passed
 
     def test_five_blocks_validate(self):
         model = pants1_graph(5)
         assert len(model.graph.pants) == 10
-        assert validate_pants_graph(model.graph).all_passed
-        assert validate_pants_graph(model.recut_graph).all_passed
+        assert validate_pants_graph(model.graph).passed
+        assert validate_pants_graph(model.recut_graph).passed
 
     def test_original_lengths_unbounded(self):
         model = pants1_graph(8)

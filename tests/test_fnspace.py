@@ -271,24 +271,24 @@ class TestPantsGraph:
     def test_genus_two_pattern(self):
         g = PantsGraph((("c1", "c2", "c3"), ("c1", "c2", "c3")))
         rep = validate_pants_graph(g)
-        assert rep.all_passed
+        assert rep.passed
         assert g.boundary_curves == frozenset()
 
     def test_three_slot_curve_invalid(self):
         g = PantsGraph((("c1", "c1", "c1"), ("c2", "c2", CUSP)))
         rep = validate_pants_graph(g)
-        assert not rep.all_passed
+        assert not rep.passed
         assert any("c1" in rec.name for rec in rep.failures)
 
     def test_declared_boundary_mismatch(self):
         g = PantsGraph((("c1", "c2", CUSP), ("c1", "c2", CUSP)),
                        boundary_curves=frozenset({"c1"}))
         rep = validate_pants_graph(g)
-        assert not rep.all_passed
+        assert not rep.passed
 
     def test_pants_with_cusps_valid(self):
         g = PantsGraph(((CUSP, CUSP, "c1"), (CUSP, CUSP, "c1")))
-        assert validate_pants_graph(g).all_passed
+        assert validate_pants_graph(g).passed
 
 
 class TestFileFormats:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnteich.conformal import affine_dilatation, twist_min_dilatation
+from fnteich.conformal import (affine_dilatation, twist_min_dilatation,
+                               twist_min_dilatation_derivative)
 from fnteich.errors import DomainError, UsageError
 from fnteich.hyperbolic import collar_data, hp
 from fnteich.twist import (MultiTwistFamily, SeamAngleInstance,
@@ -103,14 +104,15 @@ class TestTwistLowerBound:
                                      (2.0, 10.0)])
     def test_passes(self, l, t):
         rep = twist_lower_bound_check(TwistScenario(l, t))
-        assert rep.all_passed
+        assert rep.passed
 
     def test_zero_twist_limit(self):
-        rep = twist_lower_bound_check(TwistScenario(1.0, 1e-8))
-        rec = rep.checks[0]
-        assert rec.passed
-        assert abs(rec.lhs - 1.0) < 1e-6
-        assert abs(rec.rhs - 1.0) < 1e-6
+        s = TwistScenario(1.0, 1e-8)
+        rep = twist_lower_bound_check(s)
+        assert rep.passed
+        assert rep.total == 1
+        assert abs(twist_dilatation(s).k - 1.0) < 1e-6
+        assert abs(twist_min_dilatation(s.twist_time) - 1.0) < 1e-6
 
     def test_requires_positive_time(self):
         with pytest.raises(DomainError):
@@ -140,6 +142,17 @@ class TestTwistDelta:
         for cap in (1.0, 0.5, -2.0):
             with pytest.raises(DomainError):
                 twist_delta(cap)
+
+    def test_floor_derivative_increasing(self):
+        # the least slope of the floor on [0, T] is then h'(0)
+        slopes = [twist_min_dilatation_derivative(12.0 * k / 2000)
+                  for k in range(2001)]
+        assert all(a < b for a, b in zip(slopes, slopes[1:]))
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, 5.0, 10.0])
+    def test_min_slope_is_slope_at_zero(self, cap):
+        assert (twist_delta(cap).min_slope
+                == twist_min_dilatation_derivative(0.0))
 
 
 class TestSeamAngleKit:
