@@ -24,7 +24,7 @@ from . import fnspace as fns
 from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import DomainError, UsageError
-from .suites import SUITES, GridSpec, run_suite
+from .suites import SUITES, GridSpec, check_grid_applies, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -211,6 +211,7 @@ def cmd_verify(ns) -> int:
         raise UsageError(f"unknown suite {ns.suite!r}; expected one of "
                          f"{sorted(SUITES)} or 'all'")
     grid = GridSpec.parse(ns.grid) if ns.grid else None
+    check_grid_applies(names, grid)
     csv_file = None
     writer = None
     if ns.csv:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
-from .fnspace import (CUSP, FNCoordinate, PantsGraph, StructureGenerator,
-                      StructureWindow)
+from .fnspace import CUSP, PantsGraph, StructureGenerator, StructureWindow
 from .hyperbolic import arcosh
 
 
@@ -110,11 +109,9 @@ class ChainedPantsModel:
 
 
 def _length_window(named_lengths, boundary_ids) -> StructureWindow:
-    coords = []
-    for name, length in named_lengths:
-        twist = None if name in boundary_ids else 0.0
-        coords.append(FNCoordinate(length, twist))
-    return StructureWindow.from_table(coords)
+    return StructureWindow([length for _, length in named_lengths],
+                           [0.0] * len(named_lengths),
+                           [name in boundary_ids for name, _ in named_lengths])
 
 
 def pants1_graph(n_max: int) -> ChainedPantsModel:

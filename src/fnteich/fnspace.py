@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, FormatError, UsageError
 from .reports import VerificationReport
 
@@ -144,44 +146,83 @@ class StructureGenerator:
         return f"generator v1 kind={self.kind} n={self.n}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureWindow:
-    """Coordinates of curves 1..window_size, with an optional generator
-    recording the tail rule of the infinite structure being truncated."""
+    """Coordinates of curves 1..window_size as three read-only numpy
+    columns: `lengths`, `twists` (0.0 on boundary curves) and the
+    `boundary` mask, with an optional generator recording the tail rule
+    of the infinite structure being truncated.  The constructor copies
+    and validates the columns; `coords` is a derived per-curve view."""
 
-    coords: tuple[FNCoordinate, ...]
+    lengths: np.ndarray
+    twists: np.ndarray
+    boundary: np.ndarray
     source: str = "table"
     generator: StructureGenerator | None = None
 
     def __post_init__(self):
-        if not self.coords:
+        lengths = np.array(self.lengths, dtype=np.float64)
+        twists = np.array(self.twists, dtype=np.float64)
+        boundary = np.array(self.boundary, dtype=bool)
+        if not (lengths.ndim == 1 and twists.shape == lengths.shape
+                and boundary.shape == lengths.shape):
+            raise UsageError(
+                f"window columns must be one-dimensional and of equal "
+                f"length, got shapes {lengths.shape}, {twists.shape}, "
+                f"{boundary.shape}")
+        if not lengths.size:
             raise UsageError("a window must contain at least one curve")
+        bad = ~((lengths > 0.0) & (lengths < math.inf))
+        if bad.any():
+            raise DomainError(
+                f"curve length must be > 0, got {lengths[bad][0]}")
+        twists[boundary] = 0.0
+        bad = ~np.isfinite(twists)
+        if bad.any():
+            raise DomainError(f"twist must be finite, got {twists[bad][0]}")
+        for name, column in (("lengths", lengths), ("twists", twists),
+                             ("boundary", boundary)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_table(cls, coords) -> "StructureWindow":
-        return cls(coords=tuple(coords), source="table", generator=None)
+        return cls(*_columns(coords))
 
     @classmethod
     def from_generator(cls, gen: StructureGenerator,
                        window: int) -> "StructureWindow":
         if window < 1:
             raise UsageError(f"window must be >= 1, got {window}")
-        coords = tuple(gen.coordinate(i) for i in range(1, window + 1))
-        return cls(coords=coords, source=gen.kind, generator=gen)
+        return cls(*_columns(gen.coordinate(i)
+                             for i in range(1, window + 1)),
+                   source=gen.kind, generator=gen)
+
+    @property
+    def coords(self) -> tuple[FNCoordinate, ...]:
+        return tuple(FNCoordinate(l, None if b else t) for l, t, b in
+                     zip(self.lengths.tolist(), self.twists.tolist(),
+                         self.boundary.tolist()))
 
     @property
     def window_size(self) -> int:
-        return len(self.coords)
-
-    def boundary_pattern(self) -> tuple[bool, ...]:
-        return tuple(c.is_boundary for c in self.coords)
+        return len(self.lengths)
 
     def truncated(self, window: int) -> "StructureWindow":
         if not 1 <= window <= self.window_size:
             raise UsageError(
                 f"window {window} not in 1..{self.window_size}")
-        return StructureWindow(self.coords[:window], self.source,
+        return StructureWindow(self.lengths[:window], self.twists[:window],
+                               self.boundary[:window], self.source,
                                self.generator)
+
+
+def _columns(coords):
+    """(lengths, twists, boundary) lists of a sequence of FNCoordinate."""
+    coords = tuple(coords)
+    return ([c.length for c in coords],
+            [0.0 if c.twist is None else c.twist for c in coords],
+            [c.is_boundary for c in coords])
 
 
 class FNDistanceResult(NamedTuple):
@@ -194,25 +235,24 @@ def _check_aligned(x: StructureWindow, y: StructureWindow):
     if x.window_size != y.window_size:
         raise UsageError(f"window sizes differ: {x.window_size} vs "
                          f"{y.window_size}")
-    if x.boundary_pattern() != y.boundary_pattern():
+    if (x.boundary != y.boundary).any():
         raise UsageError("boundary/interior patterns differ between windows")
 
 
-def _pair_term(cx: FNCoordinate, cy: FNCoordinate, kind: str) -> float:
-    # the length terms reuse the embedding arithmetic (log length and
-    # length*twist) so the sup-norm identity of to_linf holds exactly
-    log_term = abs(math.log(cx.length) - math.log(cy.length))
+def _terms(x: StructureWindow, y: StructureWindow, kind: str) -> np.ndarray:
+    """Per-curve terms max(length term, twist term), the length term
+    alone on x's boundary curves.  The fn terms use the embedding
+    arithmetic of to_linf (np.log of the lengths, length * twist), so
+    the sup-norm identity holds exactly."""
     if kind == "raw_length":
-        len_term = abs(cx.length - cy.length)
+        len_term = np.abs(x.lengths - y.lengths)
     else:
-        len_term = log_term
-    if cx.is_boundary:
-        return len_term
+        len_term = np.abs(np.log(x.lengths) - np.log(y.lengths))
     if kind == "raw_twist":
-        tw_term = abs(cx.twist - cy.twist)
+        tw_term = np.abs(x.twists - y.twists)
     else:
-        tw_term = abs(cx.length * cx.twist - cy.length * cy.twist)
-    return max(len_term, tw_term)
+        tw_term = np.abs(x.lengths * x.twists - y.lengths * y.twists)
+    return np.where(x.boundary, len_term, np.maximum(len_term, tw_term))
 
 
 def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
@@ -227,7 +267,9 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
         return "window-truncated"
     if max(sx, sy) > x.window_size:
         return "window-truncated"
-    tail = _pair_term(gx.tail_coordinate(), gy.tail_coordinate(), kind)
+    tail = _terms(StructureWindow.from_table([gx.tail_coordinate()]),
+                  StructureWindow.from_table([gy.tail_coordinate()]),
+                  kind)[0]
     return "exact" if tail <= window_sup else "window-truncated"
 
 
@@ -254,14 +296,10 @@ def fn_distance_variant(x: StructureWindow, y: StructureWindow,
 
 def _distance(x, y, kind):
     _check_aligned(x, y)
-    best = -1.0
-    best_index = 1
-    for i, (cx, cy) in enumerate(zip(x.coords, y.coords), start=1):
-        term = _pair_term(cx, cy, kind)
-        if term > best:
-            best = term
-            best_index = i
-    return FNDistanceResult(best, _exactness(x, y, best, kind), best_index)
+    terms = _terms(x, y, kind)
+    i = int(np.argmax(terms))     # the first maximiser
+    best = float(terms[i])
+    return FNDistanceResult(best, _exactness(x, y, best, kind), i + 1)
 
 
 def to_linf(x: StructureWindow) -> tuple[tuple[float, float | None], ...]:
@@ -269,13 +307,9 @@ def to_linf(x: StructureWindow) -> tuple[tuple[float, float | None], ...]:
     (log length, length * twist), with no second component on boundary
     curves.  The sup-norm distance of two embedded windows equals
     fn_distance by construction (same arithmetic, term by term)."""
-    out = []
-    for c in x.coords:
-        if c.is_boundary:
-            out.append((math.log(c.length), None))
-        else:
-            out.append((math.log(c.length), c.length * c.twist))
-    return tuple(out)
+    products = (x.lengths * x.twists).astype(object)
+    products[x.boundary] = None
+    return tuple(zip(np.log(x.lengths).tolist(), products.tolist()))
 
 
 def supnorm_distance(ex, ey) -> float:
@@ -307,13 +341,10 @@ def is_upper_bounded(obj, cap: float) -> UpperBoundResult:
     if not cap > 0.0:
         raise DomainError(f"cap must be > 0, got {cap}")
     if isinstance(obj, StructureWindow):
-        sup = 0.0
-        witness = None
-        for i, c in enumerate(obj.coords, start=1):
-            sup = max(sup, c.length)
-            if witness is None and c.length > cap:
-                witness = i
-        return UpperBoundResult(witness is None, witness, sup,
+        over = obj.lengths > cap
+        witness = int(np.argmax(over)) + 1 if over.any() else None
+        return UpperBoundResult(witness is None, witness,
+                                float(obj.lengths.max()),
                                 implies_complete=witness is None)
     if isinstance(obj, StructureGenerator):
         witness = obj.first_length_exceeding(cap)
@@ -412,9 +443,10 @@ def validate_pants_graph(g: PantsGraph) -> VerificationReport:
 
 def format_structure_file(w: StructureWindow) -> str:
     lines = ["fnstruct v1"]
-    for i, c in enumerate(w.coords, start=1):
-        tw = "-" if c.twist is None else repr(c.twist)
-        lines.append(f"{i} {c.length!r} {tw}")
+    for i, (length, twist, boundary) in enumerate(
+            zip(w.lengths.tolist(), w.twists.tolist(), w.boundary.tolist()),
+            start=1):
+        lines.append(f"{i} {length!r} {'-' if boundary else repr(twist)}")
     return "\n".join(lines) + "\n"
 
 
@@ -422,7 +454,7 @@ def parse_structure_text(text: str, path=None) -> StructureWindow:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "fnstruct v1":
         raise FormatError("expected header 'fnstruct v1'", path, 1)
-    coords = []
+    lengths, twists, boundary = [], [], []
     prev_index = 0
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -447,18 +479,15 @@ def parse_structure_text(text: str, path=None) -> StructureWindow:
             raise FormatError(f"bad length {parts[1]!r}", path, ln) from None
         if not length > 0.0:
             raise FormatError(f"length must be > 0, got {length}", path, ln)
-        if parts[2] == "-":
-            twist = None
-        else:
-            try:
-                twist = float(parts[2])
-            except ValueError:
-                raise FormatError(f"bad twist {parts[2]!r}", path,
-                                  ln) from None
-        coords.append(FNCoordinate(length, twist))
-    if not coords:
+        lengths.append(length)
+        boundary.append(parts[2] == "-")
+        try:
+            twists.append(0.0 if boundary[-1] else float(parts[2]))
+        except ValueError:
+            raise FormatError(f"bad twist {parts[2]!r}", path, ln) from None
+    if not lengths:
         raise FormatError("no coordinate lines", path, len(lines))
-    return StructureWindow.from_table(coords)
+    return StructureWindow(lengths, twists, boundary)
 
 
 def parse_structure_file(path) -> StructureWindow:

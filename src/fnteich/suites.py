@@ -327,12 +327,11 @@ def run_example81(grid: GridSpec | None = None,
 
 
 def _random_window(rng, size, pattern):
-    coords = []
-    for i in range(size):
-        length = float(10.0 ** rng.uniform(math.log10(0.05), 1.0))
-        twist = None if pattern[i] else float(rng.normal(0.0, 3.0))
-        coords.append(fns.FNCoordinate(length, twist))
-    return fns.StructureWindow.from_table(coords)
+    """Lengths log-uniform on [0.05, 10], twists N(0, 3), no twist on
+    the curves where pattern is set."""
+    return fns.StructureWindow(
+        10.0 ** rng.uniform(math.log10(0.05), 1.0, size),
+        rng.normal(0.0, 3.0, size), pattern)
 
 
 def run_metric_axioms(grid: GridSpec | None = None,
@@ -408,11 +407,25 @@ SUITES = {
 }
 
 
+# suites whose axes are fixed, so that a grid override cannot act on them
+FIXED_AXIS_SUITES = ("mu", "delta")
+
+
+def check_grid_applies(names, grid: GridSpec | None):
+    """Reject a grid override for any of the named suites with fixed
+    axes, before any suite runs."""
+    fixed = [name for name in names if name in FIXED_AXIS_SUITES]
+    if grid is not None and fixed:
+        raise UsageError(f"suites {fixed} have fixed axes and take no "
+                         "grid override")
+
+
 def run_suite(name: str, grid: GridSpec | None = None,
               csv_writer=None) -> VerificationReport:
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; expected one of "
                          f"{sorted(SUITES)} or 'all'")
+    check_grid_applies([name], grid)
     t0 = time.perf_counter()
     report = SUITES[name](grid, csv_writer)
     report.wall_time = time.perf_counter() - t0

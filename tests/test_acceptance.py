@@ -123,6 +123,9 @@ def test_criterion_09_sequence_space_isometry():
     with _Timer(5.0) as t:
         res = run_metric_axioms()
         assert res.passed, res.failures[:3]
+        assert res.total == 4245
+        assert res.failures == []
+        assert res.min_slack == 0.0
     _report(9, "coordinate distance = sup-norm of the embedding, exactly", t)
 
 

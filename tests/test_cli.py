@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,21 @@ class TestVerify:
         assert len(lines) == 1 + rows
         with open(csv_path, newline="") as fh:
             assert all(len(row) == 5 for row in csv.reader(fh))
+
+    @pytest.mark.parametrize("suite", ["mu", "delta", "all"])
+    def test_grid_rejected_for_fixed_axes(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--grid", "0.1:0.2:3")
+        assert code == 2
+        assert out == ""
+        assert "fixed axes" in err
+
+    def test_verify_all_matches_golden_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "verify_all.txt"
+        assert "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("# wall_time_s")
+                       ) == golden.read_text()
 
     def test_deterministic_output_except_walltime(self, capsys):
         _, out1, _ = run(capsys, "verify", "mu")

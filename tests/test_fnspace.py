@@ -34,6 +34,79 @@ class TestCoordinate:
             FNCoordinate(1.0, math.inf)
 
 
+class TestWindowColumns:
+    def test_columns(self):
+        w = window_from([(1.0, 0.5), (2.0, None), (3.0, -0.0)])
+        assert w.lengths.dtype == np.float64
+        assert w.twists.tolist() == [0.5, 0.0, -0.0]
+        assert w.boundary.tolist() == [False, True, False]
+        assert w.coords == (FNCoordinate(1.0, 0.5), FNCoordinate(2.0, None),
+                            FNCoordinate(3.0, -0.0))
+
+    def test_boundary_twists_zeroed(self):
+        w = StructureWindow([1.0, 2.0], [0.5, math.nan], [False, True])
+        assert w.twists.tolist() == [0.5, 0.0]
+
+    @pytest.mark.parametrize("column", ["lengths", "twists", "boundary"])
+    def test_columns_read_only(self, column):
+        w = window_from([(1.0, 0.5), (2.0, None)])
+        with pytest.raises(ValueError):
+            getattr(w, column)[0] = 1
+
+    def test_constructor_copies(self):
+        lengths = np.array([1.0, 2.0])
+        w = StructureWindow(lengths, [0.0, 0.0], [False, False])
+        lengths[0] = 5.0
+        assert w.lengths.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_length_rejected(self, length):
+        with pytest.raises(DomainError):
+            StructureWindow([1.0, length], [0.0, 0.0], [False, True])
+
+    @pytest.mark.parametrize("twist", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_twist_rejected(self, twist):
+        with pytest.raises(DomainError):
+            StructureWindow([1.0, 1.0], [0.0, twist], [False, False])
+
+    @pytest.mark.parametrize("columns", [
+        ([1.0, 1.0], [0.0], [False, False]),
+        ([1.0], [0.0], [False, False]),
+        ([[1.0]], [[0.0]], [[False]]),
+        ([], [], [])])
+    def test_bad_shapes_rejected(self, columns):
+        with pytest.raises(UsageError):
+            StructureWindow(*columns)
+
+    @pytest.mark.parametrize("kind", ["fn", "raw_twist", "raw_length"])
+    def test_attained_index_is_first_maximiser(self, kind):
+        x = window_from([(1.0, 0.0), (2.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        y = window_from([(1.0, 0.0)] * 4)
+        res = (fn_distance(x, y) if kind == "fn"
+               else fn_distance_variant(x, y, kind))
+        assert res.attained_index == 2
+
+    def test_truncated_slices_every_column(self):
+        w = window_from([(1.0, 0.5), (2.0, None), (3.0, 1.5)])
+        t = w.truncated(2)
+        assert t.lengths.tolist() == [1.0, 2.0]
+        assert t.twists.tolist() == [0.5, 0.0]
+        assert t.boundary.tolist() == [False, True]
+        assert not t.lengths.flags.writeable
+
+    def test_file_roundtrip_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        boundary = rng.random(200) < 0.15
+        twists = rng.normal(0.0, 3.0, 200)
+        twists[np.flatnonzero(~boundary)[0]] = -0.0
+        w = StructureWindow(10.0 ** rng.uniform(-1.3, 1.0, 200), twists,
+                            boundary)
+        back = parse_structure_text(format_structure_file(w))
+        for column in ("lengths", "twists", "boundary"):
+            assert (getattr(back, column).tobytes()
+                    == getattr(w, column).tobytes())
+
+
 class TestGenerators:
     def test_fn1_pair_coordinates(self):
         gx = StructureGenerator(kind="ex_fn1_x", n=4)
