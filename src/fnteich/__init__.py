@@ -25,10 +25,11 @@ from .fnspace import (FNCoordinate, PantsGraph, StructureGenerator,
                       is_upper_bounded, parse_structure_file, to_linf,
                       validate_pants_graph, wolpert_check)
 from .hyperbolic import (CollarData, HalfPlanePoint, HexagonAlternatingSides,
-                         PantsBoundaryLengths, angle_of_distance,
-                         collar_data, collar_halfwidth, collar_margin,
-                         hexagon_altitude, hexagon_sides, hp, hyp_distance,
-                         hyp_distance_crossratio, verify_pants_collar)
+                         PantsBoundaryLengths, PantsLengthGrid,
+                         angle_of_distance, collar_data, collar_halfwidth,
+                         collar_margin, hexagon_altitude, hexagon_sides, hp,
+                         hyp_distance, hyp_distance_crossratio,
+                         verify_pants_collar)
 from .reports import BoundReport, CheckRecord, VerificationReport
 from .twist import (MultiTwistFamily, SeamAngleInstance, TwistScenario,
                     multitwist_fn_bound, seam_angle_bound, seam_angle_kit,

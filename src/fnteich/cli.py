@@ -166,13 +166,16 @@ def cmd_embed(ns) -> int:
     x = fns.parse_structure_file(ns.file)
     if ns.window is not None:
         x = x.truncated(ns.window)
-    rows = fns.to_linf(x)
+    image = fns.to_linf(x)
     out = open(ns.csv, "w", newline="") if ns.csv else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(("index", "log_length", "length_times_twist"))
-        for i, (ll, lt) in enumerate(rows, start=1):
-            writer.writerow((i, repr(ll), "" if lt is None else repr(lt)))
+        for i, (ll, lt, boundary) in enumerate(
+                zip(image.log_length.tolist(),
+                    image.length_times_twist.tolist(),
+                    image.boundary.tolist()), start=1):
+            writer.writerow((i, repr(ll), "" if boundary else repr(lt)))
     finally:
         if ns.csv:
             out.close()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -172,13 +173,14 @@ class StructureWindow:
                 f"{boundary.shape}")
         if not lengths.size:
             raise UsageError("a window must contain at least one curve")
-        bad = ~((lengths > 0.0) & (lengths < math.inf))
-        if bad.any():
+        # min and max propagate NaN, so it fails both tests
+        if not (lengths.min() > 0.0 and lengths.max() < math.inf):
+            bad = ~((lengths > 0.0) & (lengths < math.inf))
             raise DomainError(
                 f"curve length must be > 0, got {lengths[bad][0]}")
         twists[boundary] = 0.0
-        bad = ~np.isfinite(twists)
-        if bad.any():
+        if not np.isfinite(twists).all():
+            bad = ~np.isfinite(twists)
             raise DomainError(f"twist must be finite, got {twists[bad][0]}")
         for name, column in (("lengths", lengths), ("twists", twists),
                              ("boundary", boundary)):
@@ -207,6 +209,15 @@ class StructureWindow:
     @property
     def window_size(self) -> int:
         return len(self.lengths)
+
+    @cached_property
+    def _linf(self) -> "LinfImage":
+        """The to_linf image, computed once per window."""
+        log_length = np.log(self.lengths)
+        product = self.lengths * self.twists
+        log_length.flags.writeable = False
+        product.flags.writeable = False
+        return LinfImage(log_length, product, self.boundary)
 
     def truncated(self, window: int) -> "StructureWindow":
         if not 1 <= window <= self.window_size:
@@ -239,20 +250,30 @@ def _check_aligned(x: StructureWindow, y: StructureWindow):
         raise UsageError("boundary/interior patterns differ between windows")
 
 
+def _embedded(x: StructureWindow, kind: str):
+    """The two coordinate columns of x that the metric `kind` compares:
+    the to_linf columns (log length, length * twist) for fn;
+    raw_length and raw_twist replace one of them by the raw length or
+    the raw twist."""
+    image = to_linf(x)
+    return (x.lengths if kind == "raw_length" else image.log_length,
+            x.twists if kind == "raw_twist" else image.length_times_twist)
+
+
+def _sup_terms(ex, ey) -> np.ndarray:
+    """Per-curve terms max(|u_x - u_y|, |v_x - v_y|) of two column pairs
+    ex = (u_x, v_x) and ey = (u_y, v_y) on one boundary pattern.  Both v
+    columns hold 0.0 on boundary curves (windows zero the twists
+    there), so the term is the u term alone on those curves."""
+    (ux, vx), (uy, vy) = ex, ey
+    return np.maximum(np.abs(ux - uy), np.abs(vx - vy))
+
+
 def _terms(x: StructureWindow, y: StructureWindow, kind: str) -> np.ndarray:
-    """Per-curve terms max(length term, twist term), the length term
-    alone on x's boundary curves.  The fn terms use the embedding
-    arithmetic of to_linf (np.log of the lengths, length * twist), so
-    the sup-norm identity holds exactly."""
-    if kind == "raw_length":
-        len_term = np.abs(x.lengths - y.lengths)
-    else:
-        len_term = np.abs(np.log(x.lengths) - np.log(y.lengths))
-    if kind == "raw_twist":
-        tw_term = np.abs(x.twists - y.twists)
-    else:
-        tw_term = np.abs(x.lengths * x.twists - y.lengths * y.twists)
-    return np.where(x.boundary, len_term, np.maximum(len_term, tw_term))
+    """Per-curve terms of the metric `kind` on aligned windows.  The fn
+    terms are the sup-norm terms of the to_linf images, so the
+    embedding identity holds exactly."""
+    return _sup_terms(_embedded(x, kind), _embedded(y, kind))
 
 
 def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
@@ -297,34 +318,37 @@ def fn_distance_variant(x: StructureWindow, y: StructureWindow,
 def _distance(x, y, kind):
     _check_aligned(x, y)
     terms = _terms(x, y, kind)
-    i = int(np.argmax(terms))     # the first maximiser
+    i = int(terms.argmax())     # the first maximiser
     best = float(terms[i])
     return FNDistanceResult(best, _exactness(x, y, best, kind), i + 1)
 
 
-def to_linf(x: StructureWindow) -> tuple[tuple[float, float | None], ...]:
+class LinfImage(NamedTuple):
+    """Sequence-space image of a window: read-only columns of the log
+    lengths, the products length * twist (0.0 on boundary curves, which
+    have no second component) and the boundary mask."""
+
+    log_length: np.ndarray
+    length_times_twist: np.ndarray
+    boundary: np.ndarray
+
+
+def to_linf(x: StructureWindow) -> LinfImage:
     """Embed a window into the sequence space: index i maps to
     (log length, length * twist), with no second component on boundary
-    curves.  The sup-norm distance of two embedded windows equals
-    fn_distance by construction (same arithmetic, term by term)."""
-    products = (x.lengths * x.twists).astype(object)
-    products[x.boundary] = None
-    return tuple(zip(np.log(x.lengths).tolist(), products.tolist()))
+    curves.  The image is computed once per window, and fn_distance
+    reads the same columns, so the sup-norm distance of two embedded
+    windows equals fn_distance by construction."""
+    return x._linf
 
 
-def supnorm_distance(ex, ey) -> float:
+def supnorm_distance(ex: LinfImage, ey: LinfImage) -> float:
     """Sup-norm distance between two to_linf images."""
-    if len(ex) != len(ey):
+    if ex.boundary.shape != ey.boundary.shape:
         raise UsageError("embedded sequences differ in length")
-    best = 0.0
-    for (lx, tx), (ly, ty) in zip(ex, ey):
-        if (tx is None) != (ty is None):
-            raise UsageError("boundary patterns differ")
-        term = abs(lx - ly)
-        if tx is not None:
-            term = max(term, abs(tx - ty))
-        best = max(best, term)
-    return best
+    if (ex.boundary != ey.boundary).any():
+        raise UsageError("boundary patterns differ")
+    return float(_sup_terms(ex[:2], ey[:2]).max(initial=0.0))
 
 
 class UpperBoundResult(NamedTuple):

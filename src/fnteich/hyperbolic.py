@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, UsageError
 from .reports import VerificationReport
@@ -217,25 +218,29 @@ class HexagonAlternatingSides:
         return (self.a1, self.a2, self.a3)
 
 
-def _seam_excesses(a1: float, a2: float, a3: float):
-    """cosh(b_i) - 1 for the three seams.  The defining law
+def _half_trig(sides):
+    """(cosh a_i, sinh a_i, cosh(a_j - a_k)) of three hexagon sides,
+    (i, j, k) running over the cyclic orders (1, 2, 3), (2, 3, 1) and
+    (3, 1, 2)."""
+    a1, a2, a3 = sides
+    return ((math.cosh(a1), math.cosh(a2), math.cosh(a3)),
+            (math.sinh(a1), math.sinh(a2), math.sinh(a3)),
+            (math.cosh(a2 - a3), math.cosh(a3 - a1), math.cosh(a1 - a2)))
+
+
+def _seam_excesses(ch, sh, cdiff):
+    """cosh(b_i) - 1 for the three seams, from the _half_trig values of
+    the sides.  The defining law
     cosh a1 = -cosh a2 cosh a3 + sinh a2 sinh a3 cosh b1 is solved as
     cosh b1 - 1 = (cosh a1 + cosh(a2 - a3)) / (sinh a2 sinh a3),
     a sum of positive terms, so nearly-degenerate seams keep full
     relative accuracy.  Tolerates zero side lengths (cusp limit,
     cosh 0 = 1): a seam meeting a degenerate side comes out infinite."""
-    sides = (a1, a2, a3)
-    sh = tuple(math.sinh(v) for v in sides)
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        denom = sh[j] * sh[k]
-        if denom == 0.0:
-            out.append(math.inf)
-        else:
-            out.append((math.cosh(sides[i])
-                        + math.cosh(sides[j] - sides[k])) / denom)
-    return tuple(out)
+    (c1, c2, c3), (s1, s2, s3), (d1, d2, d3) = ch, sh, cdiff
+    s23, s31, s12 = s2 * s3, s3 * s1, s1 * s2
+    return ((c1 + d1) / s23 if s23 != 0.0 else math.inf,
+            (c2 + d2) / s31 if s31 != 0.0 else math.inf,
+            (c3 + d3) / s12 if s12 != 0.0 else math.inf)
 
 
 def _length_from_excess(u: float) -> float:
@@ -250,7 +255,7 @@ def hexagon_sides(a: HexagonAlternatingSides):
     b_i opposite a_i.  The same formula applied to (b1, b2, b3) recovers
     (a1, a2, a3): the two triples cut out the same hexagon."""
     return tuple(_length_from_excess(u)
-                 for u in _seam_excesses(*a.as_tuple()))
+                 for u in _seam_excesses(*_half_trig(a.as_tuple())))
 
 
 def _altitude_cosh_sq_numerator(ch):
@@ -291,10 +296,41 @@ class PantsBoundaryLengths:
         return (self.l1, self.l2, self.l3)
 
 
-def verify_pants_collar(l: PantsBoundaryLengths,
+class PantsLengthGrid(NamedTuple):
+    """Boundary lengths (l1, l2, l3) of every pair of pants in
+    axis1 x axis2 x axis3, in row-major order.  verify_pants_collar
+    requires every entry to be finite and > 0; a cusp is a
+    PantsBoundaryLengths with a zero entry."""
+
+    axis1: tuple[float, ...]
+    axis2: tuple[float, ...]
+    axis3: tuple[float, ...]
+
+
+# the nine collar inequalities, three per boundary l_i: the two seams
+# b_j (j != i) not opposite it, then the altitude h_i
+COLLAR_CHECKS = tuple(
+    name for i in (1, 2, 3) for name in
+    [f"seam_b{j}/2>=B(l{i})" for j in (1, 2, 3) if j != i]
+    + [f"altitude_h{i}>=B(l{i})"])
+
+
+def _collar_sides(ch, sh, cdiff):
+    """Left sides of the COLLAR_CHECKS of one pair of pants, from the
+    _half_trig values of its half-lengths: b_j / 2 for the seams and
+    h_i for the altitudes (infinite at a cusp)."""
+    b1, b2, b3 = [_length_from_excess(u) / 2.0
+                  for u in _seam_excesses(ch, sh, cdiff)]
+    root = math.sqrt(_altitude_cosh_sq_numerator(ch))
+    h1, h2, h3 = [arcosh(root / s) if s > 0.0 else math.inf for s in sh]
+    return (b2, b3, h1, b1, b3, h2, b1, b2, h3)
+
+
+def verify_pants_collar(l: PantsBoundaryLengths | PantsLengthGrid,
                         report: VerificationReport | None = None
                         ) -> VerificationReport:
-    """Check the nine collar-disjointness inequalities of a pair of pants.
+    """Check the nine collar-disjointness inequalities COLLAR_CHECKS of a
+    pair of pants, or of every pair of pants in a grid.
 
     For each boundary i with l_i > 0, the two seams not opposite it
     satisfy b_j / 2 >= B(l_i), and the altitude satisfies h_i >= B(l_i),
@@ -305,28 +341,58 @@ def verify_pants_collar(l: PantsBoundaryLengths,
     """
     if report is None:
         report = VerificationReport("pants collar inequalities")
+    if isinstance(l, PantsLengthGrid):
+        _verify_collar_grid(l, report)
+        return report
     lengths = l.as_tuple()
-    halves = tuple(v / 2.0 for v in lengths)
-    ch = tuple(math.cosh(v) for v in halves)
-    sh = tuple(math.sinh(v) for v in halves)
-    b = tuple(_length_from_excess(u) for u in _seam_excesses(*halves))
-    num = _altitude_cosh_sq_numerator(ch)
-    h = tuple(arcosh(math.sqrt(num) / sh[i]) if sh[i] > 0.0 else math.inf
-              for i in range(3))
-
+    sides = _collar_sides(*_half_trig([v / 2.0 for v in lengths]))
     for i in range(3):
         if lengths[i] == 0.0:
             for _ in range(3):
                 report.skip()
             continue
         margin = collar_margin(lengths[i])
-        for j in range(3):
-            if j != i:
-                report.check(f"seam_b{j + 1}/2>=B(l{i + 1})", lengths,
-                             b[j] / 2.0, margin, tol=COLLAR_SLACK_TOL)
-        report.check(f"altitude_h{i + 1}>=B(l{i + 1})", lengths,
-                     h[i], margin, tol=COLLAR_SLACK_TOL)
+        for k in range(3 * i, 3 * i + 3):
+            report.check(COLLAR_CHECKS[k], lengths, sides[k], margin,
+                         tol=COLLAR_SLACK_TOL)
     return report
+
+
+def _verify_collar_grid(g: PantsLengthGrid, report: VerificationReport):
+    """verify_pants_collar on every pair of pants of g, as one
+    check_many slab per l1.  The hyperbolic functions of the
+    half-lengths, B and the cosh of half-length differences are
+    computed once per axis value or pair of values; the per-pants
+    arithmetic is that of a single pair of pants."""
+    for axis in g:
+        if not all(0.0 < v < math.inf for v in axis):
+            raise DomainError(f"grid boundary lengths must be finite and "
+                              f"> 0, got {tuple(axis)}")
+
+    def per_value(axis):
+        halves = [v / 2.0 for v in axis]
+        return (halves, [math.cosh(a) for a in halves],
+                [math.sinh(a) for a in halves],
+                [collar_margin(v) for v in axis])
+
+    def cosh_diff(xs, ys):
+        return [[math.cosh(x - y) for y in ys] for x in xs]
+
+    h1, c1, s1, m1 = per_value(g.axis1)
+    h2, c2, s2, m2 = per_value(g.axis2)
+    h3, c3, s3, m3 = per_value(g.axis3)
+    d23, d31, d12 = cosh_diff(h2, h3), cosh_diff(h3, h1), cosh_diff(h1, h2)
+    for p, l1 in enumerate(g.axis1):
+        inputs, lhs, rhs = [], [], []
+        for q, l2 in enumerate(g.axis2):
+            for r, l3 in enumerate(g.axis3):
+                inputs.append((l1, l2, l3))
+                lhs.append(_collar_sides((c1[p], c2[q], c3[r]),
+                                         (s1[p], s2[q], s3[r]),
+                                         (d23[q][r], d31[r][p], d12[p][q])))
+                rhs.append((m1[p],) * 3 + (m2[q],) * 3 + (m3[r],) * 3)
+        report.check_many(COLLAR_CHECKS, inputs, lhs, rhs,
+                          tol=COLLAR_SLACK_TOL)
 
 
 def halfseam_intermediate_bound(l: float) -> tuple[float, float]:

@@ -56,6 +56,42 @@ class VerificationReport:
                                       repr(lhs), repr(rhs), repr(slack)))
         return passed
 
+    def check_many(self, names, inputs, lhs, rhs, tol=0.0):
+        """Record lhs[i, j] >= rhs[i, j] - tol for the n input tuples
+        `inputs` (rows i) and the k check `names` (columns j); lhs, rhs
+        and tol broadcast to shape (n, k).  Counts, failures, min_slack
+        and CSV rows come out as from n * k calls to check in row-major
+        order.  Returns the (n, k) mask of checks that held."""
+        import numpy as np
+
+        shape = (len(inputs), len(names))
+        if 0 in shape:
+            return np.ones(shape, dtype=bool)
+        lhs = np.broadcast_to(np.asarray(lhs, dtype=np.float64), shape)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), shape)
+        with np.errstate(all="ignore"):
+            slack = lhs - rhs
+            passed = slack >= -np.asarray(tol, dtype=np.float64)
+        self.total += slack.size
+        finite = slack[np.isfinite(slack)]
+        if finite.size:
+            # the first minimiser, so that of 0.0 and -0.0 the earlier
+            # one is kept, as min() does in check
+            self.min_slack = min(self.min_slack,
+                                 float(finite[np.argmin(finite)]))
+        for i, j in zip(*np.nonzero(~passed)):
+            self.failures.append(CheckRecord(
+                names[j], tuple(inputs[i]), float(lhs[i, j]),
+                float(rhs[i, j]), float(slack[i, j])))
+        if self.csv_writer is not None:
+            self.csv_writer.writerows(
+                (name, ins, repr(l), repr(r), repr(s))
+                for ins, lrow, rrow, srow in zip(
+                    (" ".join(repr(v) for v in row) for row in inputs),
+                    lhs.tolist(), rhs.tolist(), slack.tolist())
+                for name, l, r, s in zip(names, lrow, rrow, srow))
+        return passed
+
     def skip(self):
         """Count a check that does not apply (for example at a cusp)."""
         self.skipped += 1

@@ -25,6 +25,7 @@ from .reports import VerificationReport
 
 DISTANCE_SEED = 74520231
 METRIC_SEED = 911003
+ORACLE_SLAB = 1000      # point pairs per check_many call
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,7 @@ def run_collar(grid: GridSpec | None = None,
     axis = grid.log_points()
     report = VerificationReport(
         "collar", f"l per axis {grid.describe()} (log), 3 axes", csv_writer)
-    for l1 in axis:
-        for l2 in axis:
-            for l3 in axis:
-                hyp.verify_pants_collar(
-                    hyp.PantsBoundaryLengths(l1, l2, l3), report)
+    hyp.verify_pants_collar(hyp.PantsLengthGrid(axis, axis, axis), report)
     chain_bad = 0
     for l in axis:
         mid, margin = hyp.halfseam_intermediate_bound(l)
@@ -306,13 +303,26 @@ def run_example81(grid: GridSpec | None = None,
     n_max = int(grid.hi) if grid is not None else 10 ** 6
     report = VerificationReport(
         "example81", f"n 1:{n_max} (all integers)", csv_writer)
+    # cosh^2 = (coth n + cosh 1 / sinh n)^2 with
+    # 1 / sinh n = 2 e^-n / (1 - e^-2n), evaluated in place so that two
+    # arrays of n_max values are live instead of ten
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    inv_sinh = 2.0 * np.exp(-n) / (1.0 - np.exp(-2.0 * n))
-    base = 1.0 / np.tanh(n) + math.cosh(1.0) * inv_sinh
-    cosh_sq = base * base
+    inv_sinh = np.negative(n)
+    np.exp(inv_sinh, out=inv_sinh)
+    inv_sinh *= 2.0
+    den = np.multiply(-2.0, n)
+    np.exp(den, out=den)
+    np.subtract(1.0, den, out=den)
+    inv_sinh /= den
+    del den
+    inv_sinh *= math.cosh(1.0)
+    cosh_sq = np.tanh(n, out=n)
+    np.divide(1.0, cosh_sq, out=cosh_sq)
+    cosh_sq += inv_sinh
+    cosh_sq *= cosh_sq
     coth1_sq = 1.0 / math.tanh(1.0) ** 2
     report.check("sup_attained_at_n1", (1,), 1e-9,
-                 abs(cosh_sq[0] - 4.0 * coth1_sq))
+                 abs(float(cosh_sq[0]) - 4.0 * coth1_sq))
     report.check("bounded_by_4coth2", (n_max,), 4.0 * coth1_sq + 1e-9,
                  float(np.max(cosh_sq)))
     report.check("nonincreasing", (n_max,), float(-np.max(np.diff(cosh_sq))),
@@ -345,6 +355,7 @@ def run_metric_axioms(grid: GridSpec | None = None,
         "metric-axioms",
         f"{trials} random windows of size <= 200, seed {METRIC_SEED}",
         csv_writer)
+    lhs, rhs = [], []
     for trial in range(trials):
         size = int(rng.integers(1, 201))
         pattern = rng.random(size) < 0.15
@@ -356,12 +367,13 @@ def run_metric_axioms(grid: GridSpec | None = None,
         dxz = fns.fn_distance(x, z).value
         dyz = fns.fn_distance(y, z).value
         sup = fns.supnorm_distance(fns.to_linf(x), fns.to_linf(y))
-        report.check("embedding_isometry_exact", (trial,), 0.0,
-                     abs(dxy - sup))
-        report.check("symmetry_exact", (trial,), 0.0, abs(dxy - dyx))
-        report.check("identity_zero", (trial,),
-                     0.0, fns.fn_distance(x, x).value)
-        report.check("triangle", (trial,), dxy + dyz, dxz, tol=1e-12)
+        lhs.append((0.0, 0.0, 0.0, dxy + dyz))
+        rhs.append((abs(dxy - sup), abs(dxy - dyx),
+                    fns.fn_distance(x, x).value, dxz))
+    report.check_many(("embedding_isometry_exact", "symmetry_exact",
+                       "identity_zero", "triangle"),
+                      [(trial,) for trial in range(trials)], lhs, rhs,
+                      tol=(0.0, 0.0, 0.0, 1e-12))
     axis = [float(v) for v in np.geomspace(0.1, 10.0, 7)]
     for lx in axis:
         for ly in axis:
@@ -383,13 +395,23 @@ def run_distance_oracle(grid: GridSpec | None = None,
     report = VerificationReport(
         "distance-oracle", f"{pairs} random pairs, x in [-5,5], y "
         f"log-uniform [1e-3,1e3], seed {DISTANCE_SEED}", csv_writer)
-    for k in range(pairs):
-        z = hyp.hp(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0))
-        w = hyp.hp(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0))
-        d1 = hyp.hyp_distance(z, w)
-        d2 = hyp.hyp_distance_crossratio(z, w)
-        report.check("crossratio_vs_cosh_rel", (z.x, z.y, w.x, w.y),
-                     1e-10, abs(d1 - d2) / d1)
+    # slabs of the stream in the order of the scalar draws x_z,
+    # log10 y_z, x_w, log10 y_w per pair; lo + (hi - lo) * u is
+    # Generator.uniform's own arithmetic
+    lo = np.array([-5.0, -3.0, -5.0, -3.0])
+    hi = np.array([5.0, 3.0, 5.0, 3.0])
+    for start in range(0, pairs, ORACLE_SLAB):
+        u = rng.random((min(ORACLE_SLAB, pairs - start), 4))
+        inputs, rel = [], []
+        for zx, zv, wx, wv in (lo + (hi - lo) * u).tolist():
+            # a Python power: np.power differs in the last bits
+            z = hyp.hp(zx, 10.0 ** zv)
+            w = hyp.hp(wx, 10.0 ** wv)
+            d1 = hyp.hyp_distance(z, w)
+            d2 = hyp.hyp_distance_crossratio(z, w)
+            inputs.append((z.x, z.y, w.x, w.y))
+            rel.append((abs(d1 - d2) / d1,))
+        report.check_many(("crossratio_vs_cosh_rel",), inputs, 1e-10, rel)
     return report
 
 
@@ -412,12 +434,19 @@ FIXED_AXIS_SUITES = ("mu", "delta")
 
 
 def check_grid_applies(names, grid: GridSpec | None):
-    """Reject a grid override for any of the named suites with fixed
-    axes, before any suite runs."""
+    """Reject a grid override that cannot act on the named suites,
+    before any suite runs: any grid for a suite with fixed axes, and for
+    example81 a grid with hi < 2: its n = 1..int(hi) needs two values
+    for the monotonicity check."""
+    if grid is None:
+        return
     fixed = [name for name in names if name in FIXED_AXIS_SUITES]
-    if grid is not None and fixed:
+    if fixed:
         raise UsageError(f"suites {fixed} have fixed axes and take no "
                          "grid override")
+    if "example81" in names and not grid.hi >= 2.0:
+        raise UsageError(f"example81 runs n = 1..int(hi) and needs "
+                         f"hi >= 2, got {grid.hi:g}")
 
 
 def run_suite(name: str, grid: GridSpec | None = None,

@@ -161,6 +161,16 @@ class TestEmbed:
         assert float(last[2]) == pytest.approx(math.pi, rel=1e-15)
 
 
+    def test_boundary_curve_has_empty_twist_column(self, capsys, tmp_path):
+        path = tmp_path / "w.fnstruct"
+        path.write_text("fnstruct v1\n1 2.0 -\n2 0.5 3.0\n")
+        code, out, _ = run(capsys, "embed", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "index,log_length,length_times_twist",
+            f"1,{math.log(2.0)!r},", f"2,{math.log(0.5)!r},1.5"]
+
+
 class TestBounds:
     def test_report_lines(self, capsys):
         code, out, _ = run(capsys, "bounds", "1", "--cap", "1",
@@ -231,6 +241,40 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "fixed axes" in err
+
+    @pytest.mark.parametrize("suite,grid,golden", [
+        ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv"),
+        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv")])
+    def test_csv_matches_golden_file(self, capsys, tmp_path, suite, grid,
+                                     golden):
+        csv_path = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "verify", suite, "--grid", grid,
+                         "--csv", str(csv_path))
+        assert code == 0
+        data = Path(__file__).parent / "data" / golden
+        assert csv_path.read_bytes() == data.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["0:0.5:3", "1:1.9:3"])
+    def test_example81_rejects_grid_below_two(self, capsys, tmp_path, grid):
+        csv_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "verify", "example81", "--grid", grid,
+                             "--csv", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert "hi >= 2" in err
+        assert not csv_path.exists()
+
+    def test_example81_csv_holds_plain_floats(self, capsys, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "verify", "example81", "--grid", "1:100:2",
+                         "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 4
+        for row in rows:
+            for field in row[2:]:
+                float(field)
 
     def test_verify_all_matches_golden_output(self, capsys):
         code, out, _ = run(capsys, "verify", "all")

@@ -247,21 +247,40 @@ class TestVariants:
 class TestEmbedding:
     def test_unit_window_maps_to_zero(self):
         x = window_from([(1.0, 0.0)] * 5)
-        assert to_linf(x) == ((0.0, 0.0),) * 5
+        e = to_linf(x)
+        assert e.log_length.tolist() == [0.0] * 5
+        assert e.length_times_twist.tolist() == [0.0] * 5
+        assert e.boundary.tolist() == [False] * 5
 
     def test_fn1_y_coordinates(self):
         for n in (2, 7):
             y = StructureWindow.from_generator(
                 StructureGenerator(kind="ex_fn1_y", n=n), n)
-            ll, lt = to_linf(y)[n - 1]
+            e = to_linf(y)
+            ll, lt = e.log_length[n - 1], e.length_times_twist[n - 1]
             assert ll == pytest.approx(math.log(1.0 / n), rel=1e-15)
             assert lt == pytest.approx(TWO_PI / n, rel=1e-15)
 
     def test_boundary_component(self):
         x = window_from([(2.0, None)])
-        ll, lt = to_linf(x)[0]
-        assert ll == pytest.approx(math.log(2.0))
-        assert lt is None
+        e = to_linf(x)
+        assert e.log_length[0] == pytest.approx(math.log(2.0))
+        assert e.boundary.tolist() == [True]
+        assert e.length_times_twist.tolist() == [0.0]
+
+    def test_columns_are_read_only(self):
+        e = to_linf(window_from([(2.0, 1.0), (3.0, None)]))
+        for column in e:
+            with pytest.raises(ValueError):
+                column[0] = 5.0
+
+    def test_supnorm_rejects_mismatched_images(self):
+        x = to_linf(window_from([(1.0, 0.0), (2.0, None)]))
+        with pytest.raises(UsageError, match="length"):
+            supnorm_distance(x, to_linf(window_from([(1.0, 0.0)])))
+        with pytest.raises(UsageError, match="boundary"):
+            supnorm_distance(
+                x, to_linf(window_from([(1.0, 0.0), (2.0, 0.0)])))
 
     @given(st.lists(st.tuples(
         st.floats(min_value=0.05, max_value=10.0),

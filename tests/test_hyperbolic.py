@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import strategies as st
 
 from fnteich.errors import DomainError, UsageError
 from fnteich.hyperbolic import (HalfPlanePoint, HexagonAlternatingSides,
-                                PantsBoundaryLengths, angle_of_distance,
+                                PantsBoundaryLengths, PantsLengthGrid,
+                                angle_of_distance,
                                 arcosh, collar_data, collar_halfwidth,
                                 collar_margin, halfseam_intermediate_bound,
                                 hexagon_altitude, hexagon_sides, hp,
                                 hyp_distance, hyp_distance_crossratio,
                                 verify_pants_collar)
 from fnteich.families import pants1_arc_length
+from fnteich.reports import VerificationReport
 
 # frozen with a 40-digit arithmetic oracle before implementation
 B_AT_2 = 0.13617073445591577
@@ -259,6 +263,32 @@ class TestPantsCollar:
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
             PantsBoundaryLengths(-1.0, 1.0, 1.0)
+
+    @given(axes=st.lists(st.lists(
+        st.floats(min_value=0.01, max_value=30.0), min_size=1, max_size=3),
+        min_size=3, max_size=3))
+    def test_grid_matches_loop_over_pants(self, axes):
+        def report():
+            buf = io.StringIO()
+            return VerificationReport("t", csv_writer=csv.writer(buf)), buf
+
+        grid, grid_buf = report()
+        verify_pants_collar(PantsLengthGrid(*axes), grid)
+        loop, loop_buf = report()
+        for l1 in axes[0]:
+            for l2 in axes[1]:
+                for l3 in axes[2]:
+                    verify_pants_collar(PantsBoundaryLengths(l1, l2, l3),
+                                        loop)
+        assert grid.total == loop.total == 9 * math.prod(map(len, axes))
+        assert grid.failures == loop.failures
+        assert repr(grid.min_slack) == repr(loop.min_slack)
+        assert grid_buf.getvalue() == loop_buf.getvalue()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_rejects_cusps_and_bad_lengths(self, bad):
+        with pytest.raises(DomainError):
+            verify_pants_collar(PantsLengthGrid((1.0,), (1.0, bad), (2.0,)))
 
     @given(l=lengths)
     def test_intermediate_chain_step(self, l):
