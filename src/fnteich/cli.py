@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: eval (single function evaluation), dist (coordinate distance
-between structure files), embed (sequence-space coordinates as CSV),
-bounds (dilatation bound reports), verify (inequality suites), example
-(write built-in families / the chained-pants model to files).
+between structure files or generator specs), embed (sequence-space
+coordinates as CSV), bounds (dilatation bound reports), verify
+(inequality suites), example (write built-in families / the
+chained-pants model to files).
 
 Values print with 15 significant digits; CSV carries full precision.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
@@ -145,12 +146,20 @@ METRIC_KINDS = {"fn": "fn", "raw-twist": "raw_twist",
                 "raw-length": "raw_length"}
 
 
+def _load_window(path, window: int | None) -> fns.StructureWindow:
+    """The window of a structure file, cut to `window` curves when one
+    is given, or of a generator spec, which needs one."""
+    source = fns.parse_structure_file(path)
+    if isinstance(source, fns.StructureWindow):
+        return source if window is None else source.truncated(window)
+    if window is None:
+        raise UsageError(f"{path}: a generator spec needs --window")
+    return fns.StructureWindow.from_generator(source, window)
+
+
 def cmd_dist(ns) -> int:
-    x = fns.parse_structure_file(ns.file_a)
-    y = fns.parse_structure_file(ns.file_b)
-    if ns.window is not None:
-        x = x.truncated(ns.window)
-        y = y.truncated(ns.window)
+    x = _load_window(ns.file_a, ns.window)
+    y = _load_window(ns.file_b, ns.window)
     kind = METRIC_KINDS[ns.metric]
     if kind == "fn":
         res = fns.fn_distance(x, y)
@@ -163,10 +172,7 @@ def cmd_dist(ns) -> int:
 
 
 def cmd_embed(ns) -> int:
-    x = fns.parse_structure_file(ns.file)
-    if ns.window is not None:
-        x = x.truncated(ns.window)
-    image = fns.to_linf(x)
+    image = fns.to_linf(_load_window(ns.file, ns.window))
     out = open(ns.csv, "w", newline="") if ns.csv else sys.stdout
     try:
         writer = csv.writer(out)

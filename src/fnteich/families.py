@@ -89,15 +89,11 @@ class ChainedPantsModel:
 
     def original_window(self) -> StructureWindow:
         return _length_window(self.original_lengths,
-                              self._boundary_ids(self.graph))
+                              self.graph.boundary_curves)
 
     def recut_window(self) -> StructureWindow:
         return _length_window(self.recut_lengths,
-                              self._boundary_ids(self.recut_graph))
-
-    @staticmethod
-    def _boundary_ids(graph):
-        return graph.boundary_curves
+                              self.recut_graph.boundary_curves)
 
     def first_unbounded_witness(self, cap: float) -> str:
         """Curve of the defining decomposition exceeding any cap: the

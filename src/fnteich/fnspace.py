@@ -14,6 +14,7 @@ File formats (version-tagged first line):
     fnstruct v1            one `index length twist` line per curve,
                            twist `-` for boundary curves, indices 1..N
     generator v1 kind=<kind> n=<integer>
+                           a one-line generator spec
 """
 
 from __future__ import annotations
@@ -30,8 +31,16 @@ from .reports import VerificationReport
 
 FULL_TWIST = 2.0 * math.pi
 
-GENERATOR_KINDS = ("constant", "ex_fn1_x", "ex_fn1_y", "ex_fn2_x",
-                   "ex_fn2_y", "table")
+# The override rule of each generator kind: index -> (length, twist) as a
+# function of n, over the tail (1.0, 0.0).  `constant` (None) has no
+# overrides and takes its tail from the generator's (length, twist).
+_OVERRIDE_RULES = {
+    "constant": None,
+    "ex_fn1_x": lambda n: {n: (1.0 / n, 0.0)},
+    "ex_fn1_y": lambda n: {n: (1.0 / n, FULL_TWIST)},
+    "ex_fn2_x": lambda n: {n: (1.0 / n, 0.0)},
+    "ex_fn2_y": lambda n: {n: (1.0 / (n * n), 0.0)},
+}
 
 
 @dataclass(frozen=True)
@@ -55,93 +64,74 @@ class FNCoordinate:
 
 @dataclass(frozen=True)
 class StructureGenerator:
-    """Closed-form rule producing the coordinate of every index.
+    """Closed-form rule producing the coordinate of every index, held as
+    data: a `tail` coordinate repeated at every index, and a sorted
+    `overrides` tuple of (index, FNCoordinate) that replace it.
 
     Kinds: `constant` repeats (length, twist); the built-in families
     `ex_fn1_x` / `ex_fn1_y` (unit lengths except 1/n at index n; twists 0,
     resp. a full twist at index n) and `ex_fn2_x` / `ex_fn2_y` (all twists
-    0; length 1/n resp. 1/n^2 at index n, 1 elsewhere); `table` wraps an
-    explicit finite tuple.
+    0; length 1/n resp. 1/n^2 at index n, 1 elsewhere).  Both fields are
+    computed once, from the kind's rule in `_OVERRIDE_RULES`.
     """
 
     kind: str
     n: int | None = None
     length: float = 1.0
     twist: float | None = 0.0
-    entries: tuple[FNCoordinate, ...] = ()
+    tail: FNCoordinate = field(init=False, repr=False)
+    overrides: tuple[tuple[int, FNCoordinate], ...] = field(init=False,
+                                                            repr=False)
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in _OVERRIDE_RULES:
             raise UsageError(f"unknown generator kind {self.kind!r}; "
-                             f"expected one of {GENERATOR_KINDS}")
-        if self.kind.startswith("ex_"):
-            if not (isinstance(self.n, int) and self.n >= 1):
-                raise UsageError(
-                    f"generator {self.kind} needs an integer n >= 1, "
-                    f"got {self.n}")
-        if self.kind == "table" and not self.entries:
-            raise UsageError("table generator needs entries")
+                             f"expected one of {tuple(_OVERRIDE_RULES)}")
+        rule = _OVERRIDE_RULES[self.kind]
+        if rule is None:
+            tail, overrides = FNCoordinate(self.length, self.twist), {}
+        elif isinstance(self.n, int) and self.n >= 1:
+            tail, overrides = FNCoordinate(1.0, 0.0), rule(self.n)
+        else:
+            raise UsageError(f"generator {self.kind} needs an integer "
+                             f"n >= 1, got {self.n}")
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "overrides", tuple(
+            (i, FNCoordinate(*overrides[i])) for i in sorted(overrides)))
 
     def coordinate(self, index: int) -> FNCoordinate:
         if index < 1:
             raise UsageError(f"indices are 1-based, got {index}")
-        if self.kind == "constant":
-            return FNCoordinate(self.length, self.twist)
-        if self.kind == "table":
-            if index > len(self.entries):
-                raise UsageError(f"index {index} beyond table of "
-                                 f"{len(self.entries)} entries")
-            return self.entries[index - 1]
-        if self.kind in ("ex_fn1_x", "ex_fn2_x"):
-            return FNCoordinate(1.0 / self.n if index == self.n else 1.0, 0.0)
-        if self.kind == "ex_fn1_y":
-            return FNCoordinate(1.0 / self.n if index == self.n else 1.0,
-                                FULL_TWIST if index == self.n else 0.0)
-        # ex_fn2_y
-        return FNCoordinate(
-            1.0 / (self.n * self.n) if index == self.n else 1.0, 0.0)
+        return dict(self.overrides).get(index, self.tail)
 
-    def settle_index(self) -> int | None:
-        """Index beyond which every coordinate equals tail_coordinate();
-        None when no tail rule is known (tables)."""
-        if self.kind == "constant":
-            return 1
-        if self.kind == "table":
-            return None
-        return self.n
+    def settle_index(self) -> int:
+        """Index beyond which every coordinate equals tail_coordinate()."""
+        return max((i for i, _ in self.overrides), default=1)
 
-    def tail_coordinate(self) -> FNCoordinate | None:
-        if self.kind == "constant":
-            return FNCoordinate(self.length, self.twist)
-        if self.kind == "table":
-            return None
-        return FNCoordinate(1.0, 0.0)
+    def tail_coordinate(self) -> FNCoordinate:
+        return self.tail
 
     def length_sup(self) -> float:
         """Supremum of the length coordinate over all indices."""
-        if self.kind == "constant":
-            return self.length
-        if self.kind == "table":
-            return max(e.length for e in self.entries)
-        return 1.0  # families are 1 except a single smaller entry
+        return max([self.tail.length]
+                   + [c.length for _, c in self.overrides])
 
     def first_length_exceeding(self, cap: float) -> int | None:
-        """Smallest index whose length exceeds cap, in closed form."""
-        if self.kind == "table":
-            for i, e in enumerate(self.entries, start=1):
-                if e.length > cap:
-                    return i
-            return None
-        if self.kind == "constant":
-            return 1 if self.length > cap else None
-        if cap >= 1.0:
-            return None
-        if self.n == 1 and self.coordinate(1).length <= cap:
-            return 2
-        return 1
+        """Smallest index whose length exceeds cap, in closed form: the
+        overrides in index order, with the tail in the gaps between them
+        and after the last."""
+        tail_exceeds = self.tail.length > cap
+        previous = 0
+        for i, c in self.overrides:
+            if tail_exceeds and i > previous + 1:
+                return previous + 1
+            if c.length > cap:
+                return i
+            previous = i
+        return previous + 1 if tail_exceeds else None
 
     def spec_line(self) -> str:
-        if self.kind in ("constant", "table"):
+        if _OVERRIDE_RULES[self.kind] is None:
             raise UsageError(
                 f"generator kind {self.kind!r} has no single-line spec")
         return f"generator v1 kind={self.kind} n={self.n}"
@@ -151,14 +141,13 @@ class StructureGenerator:
 class StructureWindow:
     """Coordinates of curves 1..window_size as three read-only numpy
     columns: `lengths`, `twists` (0.0 on boundary curves) and the
-    `boundary` mask, with an optional generator recording the tail rule
-    of the infinite structure being truncated.  The constructor copies
-    and validates the columns; `coords` is a derived per-curve view."""
+    `boundary` mask, with an optional generator recording the infinite
+    structure being truncated.  The constructor copies and validates the
+    columns; `coords` is a derived per-curve view."""
 
     lengths: np.ndarray
     twists: np.ndarray
     boundary: np.ndarray
-    source: str = "table"
     generator: StructureGenerator | None = None
 
     def __post_init__(self):
@@ -196,9 +185,12 @@ class StructureWindow:
                        window: int) -> "StructureWindow":
         if window < 1:
             raise UsageError(f"window must be >= 1, got {window}")
-        return cls(*_columns(gen.coordinate(i)
-                             for i in range(1, window + 1)),
-                   source=gen.kind, generator=gen)
+        columns = [np.full(window, tail[0]) for tail in _columns([gen.tail])]
+        inside = [(i, c) for i, c in gen.overrides if i <= window]
+        rows = [i - 1 for i, _ in inside]
+        for column, values in zip(columns, _columns(c for _, c in inside)):
+            column[rows] = values
+        return cls(*columns, generator=gen)
 
     @property
     def coords(self) -> tuple[FNCoordinate, ...]:
@@ -224,8 +216,7 @@ class StructureWindow:
             raise UsageError(
                 f"window {window} not in 1..{self.window_size}")
         return StructureWindow(self.lengths[:window], self.twists[:window],
-                               self.boundary[:window], self.source,
-                               self.generator)
+                               self.boundary[:window], self.generator)
 
 
 def _columns(coords):
@@ -281,12 +272,8 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     if x.generator is None and y.generator is None:
         return "exact"
     gx, gy = x.generator, y.generator
-    if gx is None or gy is None:
-        return "window-truncated"
-    sx, sy = gx.settle_index(), gy.settle_index()
-    if sx is None or sy is None:
-        return "window-truncated"
-    if max(sx, sy) > x.window_size:
+    if (gx is None or gy is None
+            or max(gx.settle_index(), gy.settle_index()) > x.window_size):
         return "window-truncated"
     tail = _terms(StructureWindow.from_table([gx.tail_coordinate()]),
                   StructureWindow.from_table([gy.tail_coordinate()]),
@@ -298,8 +285,9 @@ def fn_distance(x: StructureWindow, y: StructureWindow) -> FNDistanceResult:
     """Coordinate distance sup_i max(|log(l_x/l_y)|,
     |l_x theta_x - l_y theta_y|) over the window (length term only on
     boundary curves).  The flag is "exact" when the window provably
-    attains the full supremum: both sources literal, or both generators
-    with known tails settled inside the window."""
+    attains the full supremum: both windows literal, or both generated
+    and settled inside the window with a tail term no larger than the
+    window's supremum."""
     return _distance(x, y, "fn")
 
 
@@ -514,17 +502,23 @@ def parse_structure_text(text: str, path=None) -> StructureWindow:
     return StructureWindow(lengths, twists, boundary)
 
 
-def parse_structure_file(path) -> StructureWindow:
+def parse_structure_file(path) -> StructureWindow | StructureGenerator:
+    """The window of an `fnstruct v1` file, or the generator of a
+    `generator v1` spec; the file's header line decides."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return parse_structure_text(fh.read(), path=path)
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read: {exc}", path) from None
+    if text.startswith("generator"):
+        return parse_generator_line(text, path=path)
+    return parse_structure_text(text, path=path)
 
 
 def parse_generator_line(line: str, path=None) -> StructureGenerator:
     parts = line.strip().split()
-    if len(parts) != 4 or parts[0] != "generator" or parts[1] != "v1":
+    if (len(parts) != 4 or parts[0] != "generator" or parts[1] != "v1"
+            or "\n" in line.strip()):
         raise FormatError(
             "expected 'generator v1 kind=<kind> n=<integer>'", path, 1)
     fields = {}
@@ -540,9 +534,4 @@ def parse_generator_line(line: str, path=None) -> StructureGenerator:
         n = int(fields["n"])
     except ValueError:
         raise FormatError(f"bad n {fields['n']!r}", path, 1) from None
-    kind = fields["kind"]
-    if kind == "table":
-        raise FormatError("table generators have no line form", path, 1)
-    if kind == "constant":
-        return StructureGenerator(kind="constant")
-    return StructureGenerator(kind=kind, n=n)
+    return StructureGenerator(kind=fields["kind"], n=n)

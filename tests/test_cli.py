@@ -147,6 +147,62 @@ class TestExampleAndDist:
         assert "window" in err
 
 
+class TestGeneratorFiles:
+    def dist(self, capsys, *argv):
+        code, out, err = run(capsys, "dist", *argv)
+        return code, dict(line.split(" ", 1) for line in out.splitlines())
+
+    def test_window_decides_exactness(self, capsys, tmp_path):
+        run(capsys, "example", "fn1", "4", "--out", str(tmp_path))
+        gx = str(tmp_path / "fn1_n4_w4_x.generator")
+        gy = str(tmp_path / "fn1_n4_w4_y.generator")
+        code, lines = self.dist(capsys, gx, gy, "--window", "2")
+        assert code == 0
+        assert lines["exactness"] == "window-truncated"
+        code, lines = self.dist(capsys, gx, gy, "--window", "8")
+        assert code == 0
+        assert float(lines["distance"]) == pytest.approx(
+            2.0 * math.pi / 4.0, abs=1e-12)
+        assert lines["exactness"] == "exact"
+        assert lines["attained_index"] == "4"
+
+    def test_generator_needs_window(self, capsys, tmp_path):
+        run(capsys, "example", "fn1", "4", "--out", str(tmp_path))
+        gx = str(tmp_path / "fn1_n4_w4_x.generator")
+        code, _, err = run(capsys, "dist", gx, gx)
+        assert code == 2
+        assert "--window" in err
+        code, _, err = run(capsys, "embed", gx)
+        assert code == 2
+
+    def test_mixed_pair_is_truncated(self, capsys, tmp_path):
+        run(capsys, "example", "fn1", "4", "--window", "8",
+            "--out", str(tmp_path))
+        code, lines = self.dist(
+            capsys, str(tmp_path / "fn1_n4_w8_x.fnstruct"),
+            str(tmp_path / "fn1_n4_w8_y.generator"), "--window", "8")
+        assert code == 0
+        assert lines["exactness"] == "window-truncated"
+        assert lines["attained_index"] == "4"
+
+    def test_embed_matches_structure_file(self, capsys, tmp_path):
+        run(capsys, "example", "fn1", "4", "--window", "6",
+            "--out", str(tmp_path))
+        from_gen, from_struct = tmp_path / "g.csv", tmp_path / "s.csv"
+        assert run(capsys, "embed", str(tmp_path / "fn1_n4_w6_x.generator"),
+                   "--window", "6", "--csv", str(from_gen))[0] == 0
+        assert run(capsys, "embed", str(tmp_path / "fn1_n4_w6_x.fnstruct"),
+                   "--csv", str(from_struct))[0] == 0
+        assert from_gen.read_bytes() == from_struct.read_bytes()
+
+    def test_multi_line_spec_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.generator"
+        path.write_text("generator v1 kind=ex_fn1_x\nn=2\n")
+        code, _, err = run(capsys, "embed", str(path), "--window", "3")
+        assert code == 2
+        assert "bad.generator:1" in err
+
+
 class TestEmbed:
     def test_csv_output(self, capsys, tmp_path):
         run(capsys, "example", "fn1", "2", "--out", str(tmp_path))

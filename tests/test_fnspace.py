@@ -122,8 +122,13 @@ class TestGenerators:
         assert gy.coordinate(9) == FNCoordinate(1.0, 0.0)
 
     def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            StructureGenerator(kind="mystery", n=1)
+        for kind in ("mystery", "table"):
+            with pytest.raises(UsageError):
+                StructureGenerator(kind=kind, n=1)
+
+    def test_bad_constant_rejected_at_construction(self):
+        with pytest.raises(DomainError):
+            StructureGenerator(kind="constant", length=-1.0)
 
     def test_bad_n(self):
         with pytest.raises(UsageError):
@@ -140,6 +145,59 @@ class TestGenerators:
             parse_generator_line("generator v2 kind=ex_fn1_x n=2")
         with pytest.raises(FormatError):
             parse_generator_line("generator v1 kind=ex_fn1_x n=two")
+
+
+GENERATOR_CASES = [
+    ("ex_fn1_x", {}), ("ex_fn1_y", {}), ("ex_fn2_x", {}), ("ex_fn2_y", {}),
+    ("constant", {"length": 0.7, "twist": 1.5}),
+    ("constant", {"length": 2.5, "twist": None})]
+
+
+def closed_form_columns(kind, n, window, length=1.0, twist=0.0):
+    """The columns of a generator window, spelled out index by index."""
+    rows = []
+    for i in range(1, window + 1):
+        if kind == "constant":
+            rows.append((length, twist))
+        elif i != n:
+            rows.append((1.0, 0.0))
+        elif kind == "ex_fn2_y":
+            rows.append((1.0 / (n * n), 0.0))
+        else:
+            rows.append((1.0 / n, TWO_PI if kind == "ex_fn1_y" else 0.0))
+    return (np.array([l for l, _ in rows], dtype=np.float64),
+            np.array([0.0 if t is None else t for _, t in rows],
+                     dtype=np.float64),
+            np.array([t is None for _, t in rows], dtype=bool))
+
+
+class TestGeneratorWindows:
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    @pytest.mark.parametrize("kind,params", GENERATOR_CASES)
+    def test_columns_match_closed_form(self, kind, params, n):
+        gen = StructureGenerator(kind=kind, n=n, **params)
+        for window in sorted({1, n - 1, n, n + 3} - {0}):
+            w = StructureWindow.from_generator(gen, window)
+            expected = closed_form_columns(kind, n, window, **params)
+            for column, values in zip(("lengths", "twists", "boundary"),
+                                      expected):
+                assert getattr(w, column).tobytes() == values.tobytes(), (
+                    column, window)
+            assert w.generator is gen
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("kind,params", GENERATOR_CASES)
+    def test_upper_bound_matches_scan(self, kind, params, n):
+        gen = StructureGenerator(kind=kind, n=n, **params)
+        scan = [gen.coordinate(i).length
+                for i in range(1, gen.settle_index() + 2)]
+        for cap in (0.5 / n ** 2, 1.0 / n ** 2, 1.0 / n, 0.5, 1.0, 2.0):
+            over = [i for i, length in enumerate(scan, start=1)
+                    if length > cap]
+            res = is_upper_bounded(gen, cap)
+            assert res.witness_index == (over[0] if over else None), cap
+            assert res.bounded == (not over)
+            assert res.length_sup == max(scan)
 
 
 class TestFnDistance:
