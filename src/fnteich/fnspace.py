@@ -105,11 +105,8 @@ class StructureGenerator:
         return dict(self.overrides).get(index, self.tail)
 
     def settle_index(self) -> int:
-        """Index beyond which every coordinate equals tail_coordinate()."""
+        """Index beyond which every coordinate equals `tail`."""
         return max((i for i, _ in self.overrides), default=1)
-
-    def tail_coordinate(self) -> FNCoordinate:
-        return self.tail
 
     def length_sup(self) -> float:
         """Supremum of the length coordinate over all indices."""
@@ -185,7 +182,8 @@ class StructureWindow:
                        window: int) -> "StructureWindow":
         if window < 1:
             raise UsageError(f"window must be >= 1, got {window}")
-        columns = [np.full(window, tail[0]) for tail in _columns([gen.tail])]
+        columns = [np.full(window, value)
+                   for (value,) in _columns([gen.tail])]
         inside = [(i, c) for i, c in gen.overrides if i <= window]
         rows = [i - 1 for i, _ in inside]
         for column, values in zip(columns, _columns(c for _, c in inside)):
@@ -275,9 +273,8 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     if (gx is None or gy is None
             or max(gx.settle_index(), gy.settle_index()) > x.window_size):
         return "window-truncated"
-    tail = _terms(StructureWindow.from_table([gx.tail_coordinate()]),
-                  StructureWindow.from_table([gy.tail_coordinate()]),
-                  kind)[0]
+    tail = _terms(StructureWindow.from_table([gx.tail]),
+                  StructureWindow.from_table([gy.tail]), kind)[0]
     return "exact" if tail <= window_sup else "window-truncated"
 
 
@@ -534,4 +531,8 @@ def parse_generator_line(line: str, path=None) -> StructureGenerator:
         n = int(fields["n"])
     except ValueError:
         raise FormatError(f"bad n {fields['n']!r}", path, 1) from None
-    return StructureGenerator(kind=fields["kind"], n=n)
+    kind = fields["kind"]
+    if kind in _OVERRIDE_RULES and _OVERRIDE_RULES[kind] is None:
+        raise FormatError(f"generator kind {kind!r} has no single-line "
+                          f"spec", path, 1)
+    return StructureGenerator(kind=kind, n=n)

@@ -195,6 +195,14 @@ class TestGeneratorFiles:
                    "--csv", str(from_struct))[0] == 0
         assert from_gen.read_bytes() == from_struct.read_bytes()
 
+    def test_constant_spec_rejected(self, capsys, tmp_path):
+        path = tmp_path / "c.generator"
+        path.write_text("generator v1 kind=constant n=-7\n")
+        code, _, err = run(capsys, "dist", str(path), str(path),
+                           "--window", "3")
+        assert code == 2
+        assert "c.generator:1" in err
+
     def test_multi_line_spec_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.generator"
         path.write_text("generator v1 kind=ex_fn1_x\nn=2\n")

@@ -146,6 +146,11 @@ class TestGenerators:
         with pytest.raises(FormatError):
             parse_generator_line("generator v1 kind=ex_fn1_x n=two")
 
+    def test_parse_rejects_constant(self):
+        # a spec line cannot carry a constant's length and twist
+        with pytest.raises(FormatError):
+            parse_generator_line("generator v1 kind=constant n=-7")
+
 
 GENERATOR_CASES = [
     ("ex_fn1_x", {}), ("ex_fn1_y", {}), ("ex_fn2_x", {}), ("ex_fn2_y", {}),
