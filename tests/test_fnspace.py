@@ -145,8 +145,6 @@ class TestGenerators:
             parse_generator_line("generator v2 kind=ex_fn1_x n=2")
         with pytest.raises(FormatError):
             parse_generator_line("generator v1 kind=ex_fn1_x n=two")
-
-    def test_parse_rejects_constant(self):
         # a spec line cannot carry a constant's length and twist
         with pytest.raises(FormatError):
             parse_generator_line("generator v1 kind=constant n=-7")
