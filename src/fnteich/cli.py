@@ -9,6 +9,9 @@ chained-pants model to files).
 Values print with 15 significant digits; CSV carries full precision.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 domain or assumption error.
+
+Each command imports the modules it needs in its own body, so `eval`
+(bar `arc81`) and `bounds` load only the scalar modules and no numpy.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ import sys
 
 from . import bounds as qb
 from . import conformal as cf
-from . import families as fam
-from . import fnspace as fns
 from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import DomainError, UsageError
-from .suites import SUITES, GridSpec, check_grid_applies, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -94,7 +94,10 @@ def _eval_twist_k(args):
 
 
 def _eval_arc81(args):
-    res = fam.pants1_arc_length(_as_index(args[0], "n"))
+    n = _as_index(args[0], "n")
+    from . import families as fam
+
+    res = fam.pants1_arc_length(n)
     return [("cosh_sq", res.cosh_sq), ("l", res.length),
             ("cap3", res.bound_3coth), ("cap4", res.bound_4coth)]
 
@@ -146,9 +149,11 @@ METRIC_KINDS = {"fn": "fn", "raw-twist": "raw_twist",
                 "raw-length": "raw_length"}
 
 
-def _load_window(path, window: int | None) -> fns.StructureWindow:
-    """The window of a structure file, cut to `window` curves when one
-    is given, or of a generator spec, which needs one."""
+def _load_window(path, window: int | None):
+    """The StructureWindow of a structure file, cut to `window` curves
+    when one is given, or of a generator spec, which needs one."""
+    from . import fnspace as fns
+
     source = fns.parse_structure_file(path)
     if isinstance(source, fns.StructureWindow):
         return source if window is None else source.truncated(window)
@@ -158,6 +163,8 @@ def _load_window(path, window: int | None) -> fns.StructureWindow:
 
 
 def cmd_dist(ns) -> int:
+    from . import fnspace as fns
+
     x = _load_window(ns.file_a, ns.window)
     y = _load_window(ns.file_b, ns.window)
     kind = METRIC_KINDS[ns.metric]
@@ -172,6 +179,8 @@ def cmd_dist(ns) -> int:
 
 
 def cmd_embed(ns) -> int:
+    from . import fnspace as fns
+
     image = fns.to_linf(_load_window(ns.file, ns.window))
     out = open(ns.csv, "w", newline="") if ns.csv else sys.stdout
     try:
@@ -215,6 +224,8 @@ def cmd_bounds(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .suites import SUITES, GridSpec, check_grid_applies, run_suite
+
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
     if ns.suite != "all" and ns.suite not in SUITES:
         raise UsageError(f"unknown suite {ns.suite!r}; expected one of "
@@ -245,6 +256,9 @@ def cmd_verify(ns) -> int:
 
 def cmd_example(ns) -> int:
     import os
+
+    from . import families as fam
+    from . import fnspace as fns
 
     outdir = ns.out
     os.makedirs(outdir, exist_ok=True)
@@ -325,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite",
-                   help=f"one of {sorted(SUITES)} or 'all'")
+                   help="a suite name (an unknown name lists them) or 'all'")
     p.add_argument("--grid", default=None,
                    help="lo:hi:steps override for the suite's main axes")
     p.add_argument("--csv", default=None)

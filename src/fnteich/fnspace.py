@@ -273,8 +273,13 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     if (gx is None or gy is None
             or max(gx.settle_index(), gy.settle_index()) > x.window_size):
         return "window-truncated"
-    tail = _terms(StructureWindow.from_table([gx.tail]),
-                  StructureWindow.from_table([gy.tail]), kind)[0]
+    # the term past the settle index, from two-entry (x, y) tail columns
+    # through the same numpy log and product as the window columns, so a
+    # tail term that ties the window supremum compares equal to it
+    lengths, twists, _ = (np.array(c) for c in _columns([gx.tail, gy.tail]))
+    u = lengths if kind == "raw_length" else np.log(lengths)
+    v = twists if kind == "raw_twist" else lengths * twists
+    tail = _sup_terms((u[:1], v[:1]), (u[1:], v[1:]))[0]
     return "exact" if tail <= window_sup else "window-truncated"
 
 

@@ -1,5 +1,9 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,3 +365,63 @@ class TestVerify:
         assert code == 0
         assert "status PASS" in out
         assert "violated at n = [1]" in out
+
+
+# Runs fnteich.cli.main on each argv (a JSON list of lists) in one fresh
+# interpreter and prints, per argv, the exit code, stdout, stderr and
+# whether numpy is loaded by then.
+FRESH_CHILD = """
+import contextlib, io, json, sys
+from fnteich.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, out.getvalue(), err.getvalue(),
+                    "numpy" in sys.modules))
+print(json.dumps(results))
+"""
+
+
+def run_fresh(*argvs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CHILD,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdImports:
+    def test_scalar_commands_never_load_numpy(self):
+        results = run_fresh(
+            ["eval", "B", "2"], ["eval", "h", "0"],
+            ["bounds", "1", "--cap", "1", "--bishop-c", "1",
+             "--logk", "0.5"],
+            ["eval", "B", "-1"], ["eval", "nosuch", "1"],
+            ["eval", "arc81", "nan"])
+        assert [numpy for *_, numpy in results] == [False] * 6
+        (b, h, bounds, domain, unknown, arc81) = [r[:3] for r in results]
+        assert b == [0, "0.136170734455916\n", ""]
+        assert h[0] == 0 and float(h[1]) == 1.0
+        assert bounds[0] == 0
+        assert "fn_from_qc_upper 2.5" in bounds[1].splitlines()
+        for (code, out, err), expected, text in (
+                (domain, 3, "l > 0"), (unknown, 2, "unknown function"),
+                (arc81, 2, "must be an integer")):
+            assert code == expected and out == "" and text in err
+
+    def test_dist_loads_numpy(self, capsys, tmp_path):
+        run(capsys, "example", "fn1", "4", "--out", str(tmp_path))
+        [(code, out, _, numpy)] = run_fresh(
+            ["dist", str(tmp_path / "fn1_n4_w4_x.fnstruct"),
+             str(tmp_path / "fn1_n4_w4_y.fnstruct")])
+        assert code == 0 and numpy
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert float(lines["distance"]) == pytest.approx(math.pi / 2.0,
+                                                         abs=1e-12)
+        assert lines["exactness"] == "exact"
+        assert lines["attained_index"] == "4"

@@ -242,6 +242,19 @@ class TestFnDistance:
         y = StructureWindow.from_table([FNCoordinate(1.0, 0.0)] * 4)
         assert fn_distance(x, y).exactness == "window-truncated"
 
+    def test_constant_pair_tail_ties_window_sup(self):
+        # every index carries the tail term, so the window supremum ties
+        # it; math.log(5.423) is one ulp above np.log(5.423) on some
+        # platforms, so a tail term taken through math.log would read
+        # "window-truncated" there
+        x = StructureWindow.from_generator(
+            StructureGenerator(kind="constant", length=5.423, twist=0.0), 3)
+        y = StructureWindow.from_generator(
+            StructureGenerator(kind="constant", length=1.0, twist=0.0), 3)
+        assert fn_distance(x, y).exactness == "exact"
+        for kind in ("raw_twist", "raw_length"):
+            assert fn_distance_variant(x, y, kind).exactness == "exact"
+
     def test_mismatched_windows(self):
         x = window_from([(1.0, 0.0), (1.0, 0.0)])
         y = window_from([(1.0, 0.0)])
