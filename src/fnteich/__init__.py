@@ -33,7 +33,8 @@ _EXPORTS = {
     "families": ("ChainedPantsModel", "make_fn_pair", "pants1_arc_length",
                  "pants1_graph"),
     "fnspace": ("FNCoordinate", "PantsGraph", "StructureGenerator",
-                "StructureWindow", "fn_distance", "fn_distance_variant",
+                "StructureWindow", "fn_distance", "fn_distance_blocks",
+                "fn_distance_variant",
                 "is_upper_bounded", "parse_structure_file", "to_linf",
                 "validate_pants_graph", "wolpert_check"),
     "hyperbolic": ("CollarData", "HalfPlanePoint", "HexagonAlternatingSides",

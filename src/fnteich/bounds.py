@@ -43,8 +43,8 @@ def collar_cylinder_halflength(cap: float) -> float:
     """Half the conformal length L(N) of the collar cylinder around a
     geodesic of length <= cap: L(N) = angle_of_distance(collar_margin(N)).
     Decreasing in the cap and always below pi/2."""
-    if not cap > 0.0:
-        raise DomainError(f"length cap must be > 0, got {cap}")
+    if not 0.0 < cap < math.inf:
+        raise DomainError(f"length cap must be finite and > 0, got {cap}")
     return angle_of_distance(collar_margin(cap))
 
 
@@ -71,8 +71,9 @@ class BoundAssumptions:
     d_fn: float | None = None
 
     def __post_init__(self):
-        if not self.cap > 0.0:
-            raise DomainError(f"length cap must be > 0, got {self.cap}")
+        if not 0.0 < self.cap < math.inf:
+            raise DomainError(
+                f"length cap must be finite and > 0, got {self.cap}")
         if not self.bishop_c >= 0.0:
             raise DomainError(
                 f"pants-map constant must be >= 0, got {self.bishop_c}")

@@ -206,6 +206,9 @@ def cmd_bounds(ns) -> int:
     combined = qb.combined_qc_upper(ns.d_fn, assume)
     twist_only = qb.twist_change_bound(ns.d_fn, assume)
     info = qb.cylinder_halflength_report(ns.cap)
+    # every bound is computed before the first line is printed, so a
+    # rejected input prints nothing on stdout
+    rev = None if ns.logk is None else qb.fn_from_qc_upper(ns.logk, assume)
     print(f"combined_upper {fmt(combined.upper)}")
     print(f"twist_upper {fmt(twist_only.upper)}")
     print(f"length_route_coefficient {fmt(3.0 * ns.bishop_c)}")
@@ -213,8 +216,7 @@ def cmd_bounds(ns) -> int:
     print(f"L {fmt(info.value)}")
     print(f"L_printed_variant {fmt(info.printed_closed_form)}")
     print(f"note {info.note}")
-    if ns.logk is not None:
-        rev = qb.fn_from_qc_upper(ns.logk, assume)
+    if rev is not None:
         print(f"fn_from_qc_upper {fmt(rev.upper)}")
     return EXIT_OK
 

@@ -99,7 +99,7 @@ def twist_min_dilatation(t: float) -> float:
     """Least quasiconformal dilatation compatible with a time-t twist:
     the modulus of H(inf, -1, 0, e^t).  Equals 1 at t = 0, strictly
     increasing, unbounded."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"requires t >= 0, got {t}")
     if t > 700.0:   # e^t overflows; 1/sqrt(1+e^t) = e^(-t/2) there
         r = math.exp(-t / 2.0)
@@ -113,7 +113,7 @@ def twist_min_dilatation_derivative(t: float) -> float:
     """Derivative of twist_min_dilatation.  With lam = e^t and
     r = (1+lam)^(-1/2), the chain rule gives
     d/dt = -(lam/pi) mu'(r) r^3, strictly positive."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"requires t >= 0, got {t}")
     if t > 700.0:   # lam overflows; lam r^3 = e^(-t/2) = r there
         r = math.exp(-t / 2.0)

@@ -313,6 +313,34 @@ def _distance(x, y, kind):
     return FNDistanceResult(best, _exactness(x, y, best, kind), i + 1)
 
 
+def fn_distance_blocks(x: StructureWindow, y: StructureWindow,
+                       starts) -> np.ndarray:
+    """The fn distance of each block [starts[k], starts[k+1]) of two
+    aligned literal windows (the last block runs to the window's end),
+    as one maximum.reduceat over the terms fn_distance reads, so each
+    value equals fn_distance on that block's windows bit for bit.
+    `starts` are 0-based, begin at 0 and strictly increase.  Generated
+    windows are refused: a block of a truncated structure has no
+    exactness flag."""
+    _check_aligned(x, y)
+    if x.generator is not None or y.generator is not None:
+        raise UsageError("block distances need literal windows; a block "
+                         "of a generated window has no exactness flag")
+    index = np.asarray(starts)
+    if not (index.ndim == 1 and index.size
+            and index.dtype.kind in "iu"):
+        raise UsageError(f"block starts must be a non-empty integer "
+                         f"sequence, got {starts!r}")
+    if index[0] != 0:
+        raise UsageError(f"block starts must begin at 0, got {index[0]}")
+    if not (index[1:] > index[:-1]).all():
+        raise UsageError("block starts must be strictly increasing")
+    if index[-1] >= x.window_size:
+        raise UsageError(f"block start {index[-1]} is past the window of "
+                         f"{x.window_size} curves")
+    return np.maximum.reduceat(_terms(x, y, "fn"), index)
+
+
 class LinfImage(NamedTuple):
     """Sequence-space image of a window: read-only columns of the log
     lengths, the products length * twist (0.0 on boundary curves, which

@@ -253,8 +253,8 @@ def seam_angle_cot_bounds(cap: float) -> tuple[float, float]:
     ((cap + 4d)/e^d) tanh(d), kept for comparison only -- it is not
     monotone in the cap and is not used.
     """
-    if not cap > 0.0:
-        raise DomainError(f"length cap must be > 0, got {cap}")
+    if not 0.0 < cap < math.inf:
+        raise DomainError(f"length cap must be finite and > 0, got {cap}")
     d = collar_margin(cap)
     p = math.tanh(d)
     chained = 2.0 * math.sqrt(3.0) * (cap + 4.0 * d) / (math.exp(d) * p ** 3)

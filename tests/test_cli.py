@@ -53,6 +53,22 @@ class TestEval:
         assert code == 3
         assert "l > 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "seam-angle", "inf"), ("eval", "L", "inf"),
+        ("bounds", "1", "--cap", "inf", "--bishop-c", "1")])
+    def test_infinite_length_cap_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "length cap must be finite and > 0" in err
+
+    @pytest.mark.parametrize("function", ["h", "hprime"])
+    def test_nan_twist_time_rejected(self, capsys, function):
+        code, out, err = run(capsys, "eval", function, "nan")
+        assert code == 3
+        assert out == ""
+        assert "requires t >= 0, got nan" in err
+
     def test_wrong_arity(self, capsys):
         code, _, err = run(capsys, "eval", "B", "1", "2")
         assert code == 2
@@ -262,6 +278,14 @@ class TestBounds:
         lines = dict(line.split(" ", 1) for line in out.splitlines())
         assert float(lines["fn_from_qc_upper"]) == 5.0
 
+    @pytest.mark.parametrize("logk", ["nan", "-1"])
+    def test_bad_logk_prints_nothing(self, capsys, logk):
+        code, out, err = run(capsys, "bounds", "1", "--cap", "1",
+                             "--bishop-c", "1", "--logk", logk)
+        assert code == 3
+        assert out == ""
+        assert "log K must be >= 0" in err
+
     def test_reproducible(self, capsys):
         _, out1, _ = run(capsys, "bounds", "1", "--cap", "1",
                          "--bishop-c", "1")
@@ -312,7 +336,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,grid,golden", [
         ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv"),
-        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv")])
+        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv"),
+        ("metric-axioms", "1:2:250", "metric_axioms_grid_1_2_250.csv")])
     def test_csv_matches_golden_file(self, capsys, tmp_path, suite, grid,
                                      golden):
         csv_path = tmp_path / "out.csv"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fnteich.errors import DomainError, FormatError, UsageError
 from fnteich.fnspace import (CUSP, FNCoordinate, PantsGraph,
                              StructureGenerator, StructureWindow,
-                             fn_distance, fn_distance_variant,
+                             fn_distance, fn_distance_blocks,
+                             fn_distance_variant,
                              format_structure_file, is_upper_bounded,
                              parse_generator_line, parse_structure_text,
                              supnorm_distance, to_linf,
@@ -272,6 +273,66 @@ class TestFnDistance:
         y = window_from([(2.0, None)])
         assert fn_distance(x, y).value == pytest.approx(math.log(2.0),
                                                         rel=1e-15)
+
+
+def block(w, start, size):
+    return StructureWindow(w.lengths[start:start + size],
+                           w.twists[start:start + size],
+                           w.boundary[start:start + size])
+
+
+class TestFnDistanceBlocks:
+    def test_each_block_equals_fn_distance(self):
+        rng = np.random.default_rng(17)
+        sizes = rng.permutation(np.arange(1, 201)).tolist()
+        starts = np.cumsum([0] + sizes[:-1])
+        n = sum(sizes)
+        boundary = rng.random(n) < 0.15
+        lengths = 10.0 ** rng.uniform(-1.3, 1.0, (2, n))
+        twists = rng.normal(0.0, 3.0, (2, n))
+        a = starts[sizes.index(50)]
+        boundary[a:a + 50] = True
+        # on the block of 7 the windows differ only at two curves, both
+        # with lengths (3.5, 1.0) and no twist, so its supremum ties
+        a = starts[sizes.index(7)]
+        boundary[a:a + 7] = False
+        lengths[:, a:a + 7] = 1.0
+        lengths[0, [a + 1, a + 4]] = 3.5
+        twists[:, a:a + 7] = 0.0
+        x, y = (StructureWindow(lengths[k], twists[k], boundary)
+                for k in range(2))
+        values = fn_distance_blocks(x, y, starts)
+        assert values.shape == (200,)
+        for start, size, value in zip(starts.tolist(), sizes, values):
+            assert value == fn_distance(block(x, start, size),
+                                        block(y, start, size)).value
+        assert fn_distance_blocks(x, y, [0]).tolist() == [
+            fn_distance(x, y).value]
+
+    @pytest.mark.parametrize("starts", [
+        [], [0.0, 2.0], [False, True], [[0, 1]], "0", [1, 2], [0, 2, 2],
+        [0, 3, 1], [0, 4], [0, 2, 5]])
+    def test_bad_starts_rejected(self, starts):
+        x = window_from([(1.0, 0.0), (2.0, None), (0.5, 1.0), (3.0, 0.0)])
+        with pytest.raises(UsageError):
+            fn_distance_blocks(x, x, starts)
+
+    def test_generated_window_rejected(self):
+        x = StructureWindow.from_generator(
+            StructureGenerator(kind="ex_fn1_x", n=2), 4)
+        y = window_from([(1.0, 0.0)] * 4)
+        for pair in ((x, y), (y, x), (x, x)):
+            with pytest.raises(UsageError, match="literal"):
+                fn_distance_blocks(*pair, [0, 2])
+
+    def test_misaligned_windows_rejected(self):
+        x = window_from([(1.0, 0.0), (1.0, 0.0)])
+        for y in (window_from([(1.0, 0.0)]),
+                  window_from([(1.0, 0.0), (1.0, None)])):
+            with pytest.raises(UsageError):
+                fn_distance(x, y)
+            with pytest.raises(UsageError):
+                fn_distance_blocks(x, y, [0])
 
 
 class TestVariants:

@@ -9,7 +9,7 @@ import fnteich
 
 
 def test_every_name_is_the_object_its_submodule_defines():
-    assert len(fnteich.__all__) == 64
+    assert len(fnteich.__all__) == 65
     for name in fnteich.__all__:
         module = f"fnteich.{fnteich._SUBMODULE[name]}"
         value = getattr(fnteich, name)
