@@ -18,12 +18,12 @@ required user input, recorded in every report's assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import DomainError
 from .hyperbolic import angle_of_distance, collar_margin
-from .reports import BoundReport
+from .reports import BoundReport, Validated
 
 CYLINDER_LENGTH_NOTE = (
     "L(N) is computed from the collar margin as "
@@ -59,28 +59,26 @@ def cylinder_halflength_report(cap: float) -> CylinderLengthInfo:
     return CylinderLengthInfo(value, printed, CYLINDER_LENGTH_NOTE)
 
 
-@dataclass(frozen=True)
-class BoundAssumptions:
+class BoundAssumptions(Validated, namedtuple(
+        "BoundAssumptions", "cap bishop_c l_of_cap d_fn")):
     """Shared assumption set of the bound chain: the length cap, the
-    pants-map constant C(N) (user supplied, >= 0 with 0 meaning the
-    length-change term is switched off), and the derived L(N)."""
+    pants-map constant C(N) (user supplied, finite and >= 0 with 0
+    meaning the length-change term is switched off), the derived L(N)
+    and an optional coordinate distance d_fn."""
 
-    cap: float
-    bishop_c: float
-    l_of_cap: float = field(init=False)
-    d_fn: float | None = None
+    __slots__ = ()
+    _derived = ("l_of_cap",)
 
-    def __post_init__(self):
-        if not 0.0 < self.cap < math.inf:
+    def __new__(cls, cap, bishop_c, d_fn=None):
+        if not 0.0 < cap < math.inf:
+            raise DomainError(f"length cap must be finite and > 0, got {cap}")
+        if not 0.0 <= bishop_c < math.inf:
             raise DomainError(
-                f"length cap must be finite and > 0, got {self.cap}")
-        if not self.bishop_c >= 0.0:
-            raise DomainError(
-                f"pants-map constant must be >= 0, got {self.bishop_c}")
-        if self.d_fn is not None and not self.d_fn >= 0.0:
-            raise DomainError(f"distance must be >= 0, got {self.d_fn}")
-        object.__setattr__(self, "l_of_cap",
-                           collar_cylinder_halflength(self.cap))
+                f"pants-map constant must be finite and >= 0, got {bishop_c}")
+        if d_fn is not None and not d_fn >= 0.0:
+            raise DomainError(f"distance must be >= 0, got {d_fn}")
+        return tuple.__new__(cls, (cap, bishop_c,
+                                   collar_cylinder_halflength(cap), d_fn))
 
     def with_distance(self, d: float) -> "BoundAssumptions":
         return BoundAssumptions(self.cap, self.bishop_c, d_fn=d)
@@ -173,8 +171,7 @@ def fn_from_qc_upper(log_k: float,
         notes=(CYLINDER_LENGTH_NOTE,))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     forward: BoundReport            # log K from d
     inverse_constant: float         # d per unit log K
     forward_lipschitz: float        # log K per unit d at this d

@@ -10,8 +10,10 @@ Values print with 15 significant digits; CSV carries full precision.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 domain or assumption error.
 
-Each command imports the modules it needs in its own body, so `eval`
-(bar `arc81`) and `bounds` load only the scalar modules and no numpy.
+`eval` and `bounds` reach their functions through the package's lazy
+namespace, which loads a function's module on first use, and the other
+commands import their modules in their own body, so each command loads
+only the modules it calls, and no scalar command loads numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import csv
 import math
 import sys
 
-from . import bounds as qb
-from . import conformal as cf
-from . import hyperbolic as hyp
-from . import twist as tw
+import fnteich
+
 from .errors import DomainError, UsageError
 
 EXIT_OK = 0
@@ -46,13 +46,6 @@ def _parse_float(text: str) -> float:
         raise UsageError(f"not a number: {text!r}") from None
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"not an integer: {text!r}") from None
-
-
 def _as_index(value: float, what: str) -> int:
     if not float(value).is_integer():
         raise UsageError(f"{what} must be an integer, got {value}")
@@ -64,63 +57,66 @@ def _as_index(value: float, what: str) -> int:
 
 
 def _eval_dist(args):
-    z = hyp.hp(args[0], args[1])
-    w = hyp.hp(args[2], args[3])
-    return [("", hyp.hyp_distance(z, w))]
+    z = fnteich.hp(args[0], args[1])
+    w = fnteich.hp(args[2], args[3])
+    return [("", fnteich.hyp_distance(z, w))]
 
 
 def _eval_hexagon_sides(args):
-    b = hyp.hexagon_sides(hyp.HexagonAlternatingSides(*args))
+    b = fnteich.hexagon_sides(fnteich.HexagonAlternatingSides(*args))
     return [("", v) for v in b]
 
 
 def _eval_hexagon_alt(args):
-    hexa = hyp.HexagonAlternatingSides(args[0], args[1], args[2])
-    return [("", hyp.hexagon_altitude(hexa, _as_index(args[3], "side index")))]
+    hexa = fnteich.HexagonAlternatingSides(args[0], args[1], args[2])
+    return [("", fnteich.hexagon_altitude(
+        hexa, _as_index(args[3], "side index")))]
 
 
 def _eval_quad_mod(args):
-    return [("", cf.quad_modulus(cf.IdealQuadrilateral(*args)))]
+    return [("", fnteich.quad_modulus(fnteich.IdealQuadrilateral(*args)))]
 
 
 def _eval_affine(args):
-    k, mu = cf.affine_dilatation(args[0])
+    k, mu = fnteich.affine_dilatation(args[0])
     return [("K", k), ("mu", mu)]
 
 
 def _eval_twist_k(args):
-    k, mu = tw.twist_dilatation(tw.TwistScenario(args[0], args[1]))
+    k, mu = fnteich.twist_dilatation(fnteich.TwistScenario(args[0], args[1]))
     return [("K", k), ("mu", mu)]
 
 
 def _eval_arc81(args):
     n = _as_index(args[0], "n")
-    from . import families as fam
-
-    res = fam.pants1_arc_length(n)
+    res = fnteich.pants1_arc_length(n)
     return [("cosh_sq", res.cosh_sq), ("l", res.length),
             ("cap3", res.bound_3coth), ("cap4", res.bound_4coth)]
 
 
+def _unary(name):
+    return lambda a: [("", getattr(fnteich, name)(a[0]))]
+
+
 EVAL_FUNCTIONS = {
     # name: (arity, handler taking list of floats)
-    "B": (1, lambda a: [("", hyp.collar_margin(a[0]))]),
-    "omega": (1, lambda a: [("", hyp.collar_halfwidth(a[0]))]),
-    "theta": (1, lambda a: [("", hyp.angle_of_distance(a[0]))]),
+    "B": (1, _unary("collar_margin")),
+    "omega": (1, _unary("collar_halfwidth")),
+    "theta": (1, _unary("angle_of_distance")),
     "dist": (4, _eval_dist),
     "hexagon-sides": (3, _eval_hexagon_sides),
     "hexagon-alt": (4, _eval_hexagon_alt),
-    "K": (1, lambda a: [("", cf.elliptic_k(a[0]))]),
-    "mu": (1, lambda a: [("", cf.grotzsch_modulus(a[0]))]),
-    "mu-lb": (1, lambda a: [("", cf.grotzsch_lower_bound(a[0]))]),
-    "h": (1, lambda a: [("", cf.twist_min_dilatation(a[0]))]),
-    "hprime": (1, lambda a: [("", cf.twist_min_dilatation_derivative(a[0]))]),
+    "K": (1, _unary("elliptic_k")),
+    "mu": (1, _unary("grotzsch_modulus")),
+    "mu-lb": (1, _unary("grotzsch_lower_bound")),
+    "h": (1, _unary("twist_min_dilatation")),
+    "hprime": (1, _unary("twist_min_dilatation_derivative")),
     "quad-mod": (4, _eval_quad_mod),
-    "cyl-interval": (1, lambda a: [("", cf.cylinder_interval(a[0]))]),
+    "cyl-interval": (1, _unary("cylinder_interval")),
     "affine-k": (1, _eval_affine),
     "twist-k": (2, _eval_twist_k),
-    "L": (1, lambda a: [("", qb.collar_cylinder_halflength(a[0]))]),
-    "seam-angle": (1, lambda a: [("", tw.seam_angle_bound(a[0]))]),
+    "L": (1, _unary("collar_cylinder_halflength")),
+    "seam-angle": (1, _unary("seam_angle_bound")),
     "arc81": (1, _eval_arc81),
 }
 
@@ -202,13 +198,14 @@ def cmd_embed(ns) -> int:
 
 
 def cmd_bounds(ns) -> int:
-    assume = qb.BoundAssumptions(cap=ns.cap, bishop_c=ns.bishop_c)
-    combined = qb.combined_qc_upper(ns.d_fn, assume)
-    twist_only = qb.twist_change_bound(ns.d_fn, assume)
-    info = qb.cylinder_halflength_report(ns.cap)
+    assume = fnteich.BoundAssumptions(cap=ns.cap, bishop_c=ns.bishop_c)
+    combined = fnteich.combined_qc_upper(ns.d_fn, assume)
+    twist_only = fnteich.twist_change_bound(ns.d_fn, assume)
+    info = fnteich.cylinder_halflength_report(ns.cap)
     # every bound is computed before the first line is printed, so a
     # rejected input prints nothing on stdout
-    rev = None if ns.logk is None else qb.fn_from_qc_upper(ns.logk, assume)
+    rev = (None if ns.logk is None
+           else fnteich.fn_from_qc_upper(ns.logk, assume))
     print(f"combined_upper {fmt(combined.upper)}")
     print(f"twist_upper {fmt(twist_only.upper)}")
     print(f"length_route_coefficient {fmt(3.0 * ns.bishop_c)}")

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import DomainError
 from .hyperbolic import angle_of_distance
+from .reports import Validated
 
 INF = math.inf
 
@@ -125,19 +126,16 @@ def twist_min_dilatation_derivative(t: float) -> float:
     return -(lam / math.pi) * grotzsch_modulus_derivative(r) * r ** 3
 
 
-@dataclass(frozen=True)
-class IdealQuadrilateral:
+class IdealQuadrilateral(Validated, namedtuple("IdealQuadrilateral",
+                                               "p1 p2 p3 p4")):
     """Four distinct boundary points of the upper half-plane in positive
     cyclic order (math.inf allowed for the point at infinity).  The
     a-sides are the arcs p1p2 and p3p4."""
 
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = self.as_tuple()
+    def __new__(cls, p1, p2, p3, p4):
+        pts = (p1, p2, p3, p4)
         for p in pts:
             if math.isnan(p) or p == -INF:
                 raise DomainError(
@@ -148,9 +146,10 @@ class IdealQuadrilateral:
         if not _positively_ordered(pts):
             raise DomainError(
                 f"vertices are not in positive cyclic order: {pts}")
+        return tuple.__new__(cls, pts)
 
     def as_tuple(self):
-        return (self.p1, self.p2, self.p3, self.p4)
+        return tuple(self)
 
     def rotated(self) -> "IdealQuadrilateral":
         return IdealQuadrilateral(self.p2, self.p3, self.p4, self.p1)

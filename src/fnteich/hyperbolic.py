@@ -13,11 +13,11 @@ All functions here are pure; every value object is immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
-from .reports import VerificationReport
+from .reports import Validated, VerificationReport
 
 COLLAR_SLACK_TOL = 1e-12
 
@@ -36,19 +36,18 @@ def arcosh(x: float) -> float:
     return math.log(x + math.sqrt((x - 1.0) * (x + 1.0)))
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
+class HalfPlanePoint(Validated, namedtuple("HalfPlanePoint", "x y")):
     """A point x + iy of the upper half-plane (y strictly positive)."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __new__(cls, x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"point coordinates must be finite, got "
-                              f"({self.x}, {self.y})")
-        if self.y <= 0.0:
-            raise DomainError(f"point must satisfy y > 0, got y = {self.y}")
+                              f"({x}, {y})")
+        if y <= 0.0:
+            raise DomainError(f"point must satisfy y > 0, got y = {y}")
+        return tuple.__new__(cls, (x, y))
 
     @property
     def z(self) -> complex:
@@ -175,21 +174,20 @@ def collar_halfwidth(l: float) -> float:
     return math.asinh(1.0 / math.sinh(l / 2.0))
 
 
-@dataclass(frozen=True)
-class CollarData:
+class CollarData(Validated,
+                 namedtuple("CollarData", "margin halfwidth angle")):
     """Collar quantities of a closed geodesic: margin B(l), halfwidth
     omega, and the angular halfwidth of the lifted collar in the
     half-plane."""
 
-    margin: float
-    halfwidth: float
-    angle: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.margin > 0.0 and self.halfwidth > 0.0):
+    def __new__(cls, margin, halfwidth, angle):
+        if not (margin > 0.0 and halfwidth > 0.0):
             raise DomainError("collar margin and halfwidth must be positive")
-        if not 0.0 < self.angle < math.pi / 2.0:
+        if not 0.0 < angle < math.pi / 2.0:
             raise DomainError("collar angle must lie in (0, pi/2)")
+        return tuple.__new__(cls, (margin, halfwidth, angle))
 
 
 def collar_data(l: float) -> CollarData:
@@ -198,24 +196,23 @@ def collar_data(l: float) -> CollarData:
                       angle=angle_of_distance(w))
 
 
-@dataclass(frozen=True)
-class HexagonAlternatingSides:
+class HexagonAlternatingSides(Validated, namedtuple(
+        "HexagonAlternatingSides", "a1 a2 a3")):
     """Lengths of three pairwise non-consecutive sides of a right-angled
     hexagon; these determine the hexagon up to isometry."""
 
-    a1: float
-    a2: float
-    a3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.a1, self.a2, self.a3):
+    def __new__(cls, a1, a2, a3):
+        for v in (a1, a2, a3):
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(
                     f"hexagon side lengths must be finite and > 0, got "
-                    f"({self.a1}, {self.a2}, {self.a3})")
+                    f"({a1}, {a2}, {a3})")
+        return tuple.__new__(cls, (a1, a2, a3))
 
     def as_tuple(self):
-        return (self.a1, self.a2, self.a3)
+        return tuple(self)
 
 
 def _half_trig(sides):
@@ -276,24 +273,23 @@ def hexagon_altitude(a: HexagonAlternatingSides, i: int) -> float:
     return arcosh(math.sqrt(num) / s)
 
 
-@dataclass(frozen=True)
-class PantsBoundaryLengths:
+class PantsBoundaryLengths(Validated, namedtuple(
+        "PantsBoundaryLengths", "l1 l2 l3")):
     """Geodesic boundary lengths of a hyperbolic pair of pants;
     a zero entry encodes a cusp."""
 
-    l1: float
-    l2: float
-    l3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.l1, self.l2, self.l3):
+    def __new__(cls, l1, l2, l3):
+        for v in (l1, l2, l3):
             if not (math.isfinite(v) and v >= 0.0):
                 raise DomainError(
                     f"boundary lengths must be finite and >= 0, got "
-                    f"({self.l1}, {self.l2}, {self.l3})")
+                    f"({l1}, {l2}, {l3})")
+        return tuple.__new__(cls, (l1, l2, l3))
 
     def as_tuple(self):
-        return (self.l1, self.l2, self.l3)
+        return tuple(self)
 
 
 class PantsLengthGrid(NamedTuple):

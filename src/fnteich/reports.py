@@ -1,4 +1,4 @@
-"""Check records and verification reports.
+"""Check records, verification reports and the value-type base.
 
 A VerificationReport is the sink every grid- or case-level inequality
 checker in this package writes into.  It streams: each comparison of lhs
@@ -12,33 +12,51 @@ and the only time-dependent line is the trailing wall-time comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """A failed comparison, with the signed slack lhs - rhs."""
+class Validated:
+    """Base of the immutable value types, mixed into a namedtuple
+    subclass (with `__slots__ = ()`) whose __new__ validates its
+    arguments and computes the fields named in `_derived`.  _make,
+    _replace and unpickling go through __new__ as well, which recomputes
+    the derived fields; _replace refuses to set one."""
 
-    name: str
-    inputs: tuple
-    lhs: float
-    rhs: float
-    slack: float
+    __slots__ = ()
+    _derived = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*[v for f, v in zip(cls._fields, iterable, strict=True)
+                     if f not in cls._derived])
+
+    def _replace(self, /, **changes):
+        if not changes.keys().isdisjoint(self._derived):
+            raise ValueError(f"the derived fields {self._derived} of "
+                             f"{type(self).__name__} cannot be replaced")
+        return super()._replace(**changes)
+
+    def __reduce__(self):
+        return type(self), tuple(v for f, v in zip(self._fields, self)
+                                 if f not in self._derived)
 
 
-@dataclass
+# a failed comparison, with the signed slack lhs - rhs
+CheckRecord = namedtuple("CheckRecord", "name inputs lhs rhs slack")
+
+
 class VerificationReport:
-    title: str
-    grid_desc: str = ""
-    csv_writer: object = None
-    total: int = 0
-    skipped: int = 0
-    failures: list[CheckRecord] = field(default_factory=list)
-    min_slack: float = math.inf
-    notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, title, grid_desc="", csv_writer=None):
+        self.title = title
+        self.grid_desc = grid_desc
+        self.csv_writer = csv_writer
+        self.total = 0
+        self.skipped = 0
+        self.failures: list[CheckRecord] = []
+        self.min_slack = math.inf
+        self.notes: list[str] = []
+        self.wall_time = 0.0
 
     def check(self, name, inputs, lhs, rhs, tol=0.0) -> bool:
         """Record lhs >= rhs - tol; returns whether it held."""
@@ -124,25 +142,25 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Validated, namedtuple(
+        "BoundReport", "quantity lower upper assumptions provenance notes "
+        "details")):
     """A certified one-sided or two-sided bound on a named quantity,
-    together with the assumptions it was derived under and a provenance
-    string naming the estimate used."""
+    together with the assumptions it was derived under (a read-only
+    mapping) and a provenance string naming the estimate used."""
 
-    quantity: str
-    lower: float | None
-    upper: float | None
-    assumptions: Mapping[str, float]
-    provenance: str
-    notes: tuple[str, ...] = ()
-    details: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.lower is not None and self.upper is not None
-                and not self.lower <= self.upper):
+    def __new__(cls, quantity, lower, upper, assumptions, provenance,
+                notes=(), details=()):
+        if lower is not None and upper is not None and not lower <= upper:
             raise ValueError(
-                f"bound interval is empty: lower {self.lower} > "
-                f"upper {self.upper} for {self.quantity}")
-        object.__setattr__(self, "assumptions",
-                           MappingProxyType(dict(self.assumptions)))
+                f"bound interval is empty: lower {lower} > "
+                f"upper {upper} for {quantity}")
+        return tuple.__new__(cls, (quantity, lower, upper,
+                                   MappingProxyType(dict(assumptions)),
+                                   provenance, notes, details))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; its dict can
+        return BoundReport, (*self[:3], dict(self.assumptions), *self[4:])

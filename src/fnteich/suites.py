@@ -40,6 +40,8 @@ class GridSpec:
             raise UsageError(f"grid lo must be >= 0, got {self.lo}")
         if not self.hi > self.lo:
             raise UsageError(f"grid needs hi > lo, got {self.lo}:{self.hi}")
+        if self.hi == math.inf:
+            raise UsageError(f"grid hi must be finite, got {self.hi}")
         if self.steps < 2:
             raise UsageError(f"grid needs >= 2 steps, got {self.steps}")
 

@@ -18,34 +18,33 @@ extend the argument to multi-twists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .conformal import (AffineDilatation, affine_dilatation,
                         normalized_quad_modulus, twist_min_dilatation,
                         twist_min_dilatation_derivative)
 from .errors import DomainError, UsageError
-from .hyperbolic import (CollarData, HalfPlanePoint, collar_data,
-                         collar_margin, hyp_distance, hp)
-from .reports import BoundReport, VerificationReport
+from .hyperbolic import (HalfPlanePoint, collar_data, collar_margin,
+                         hyp_distance, hp)
+from .reports import BoundReport, Validated, VerificationReport
 
 
-@dataclass(frozen=True)
-class TwistScenario:
+class TwistScenario(Validated, namedtuple(
+        "TwistScenario", "curve_length twist_time collar")):
     """A single twist: curve length, signed hyperbolic displacement, and
     the derived collar data of the curve."""
 
-    curve_length: float
-    twist_time: float
-    collar: CollarData = field(init=False)
+    __slots__ = ()
+    _derived = ("collar",)
 
-    def __post_init__(self):
-        if not self.curve_length > 0.0:
-            raise DomainError(
-                f"curve length must be > 0, got {self.curve_length}")
-        if not math.isfinite(self.twist_time):
-            raise DomainError(
-                f"twist time must be finite, got {self.twist_time}")
-        object.__setattr__(self, "collar", collar_data(self.curve_length))
+    def __new__(cls, curve_length, twist_time):
+        if not curve_length > 0.0:
+            raise DomainError(f"curve length must be > 0, got {curve_length}")
+        if not math.isfinite(twist_time):
+            raise DomainError(f"twist time must be finite, got {twist_time}")
+        return tuple.__new__(cls, (curve_length, twist_time,
+                                   collar_data(curve_length)))
 
     @property
     def shear_coefficient(self) -> float:
@@ -110,8 +109,7 @@ def twist_lower_bound_check(s: TwistScenario) -> VerificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class TwistDeltaResult:
+class TwistDeltaResult(NamedTuple):
     threshold_time: float      # T with twist_min_dilatation(T) = cap
     delta: float               # t <= delta * log K for all t in (0, T]
     min_slope: float           # h'(0), the least derivative of the floor
@@ -157,35 +155,29 @@ def twist_delta(cap: float) -> TwistDeltaResult:
                             floor_at_threshold=twist_min_dilatation(t))
 
 
-@dataclass(frozen=True)
-class SeamAngleInstance:
+class SeamAngleInstance(Validated, namedtuple(
+        "SeamAngleInstance", "c theta lambda_ point_a")):
     """Geometry of a geodesic crossing the imaginary axis at i with angle
     phi, where c = cot phi: the witnessing circle is
     x^2 + y^2 - 2 c x - 1 = 0, and theta is the angular halfwidth of the
     collar the crossing geodesic must traverse."""
 
-    c: float
-    theta: float
-    lambda_: float = field(init=False)
-    point_a: HalfPlanePoint = field(init=False)
+    __slots__ = ()
+    _derived = ("lambda_", "point_a")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c >= 0.0):
-            raise DomainError(f"cot(phi) must be finite and >= 0, "
-                              f"got {self.c}")
-        if not 0.0 < self.theta < math.pi / 2.0:
+    def __new__(cls, c, theta):
+        if not (math.isfinite(c) and c >= 0.0):
+            raise DomainError(f"cot(phi) must be finite and >= 0, got {c}")
+        if not 0.0 < theta < math.pi / 2.0:
             raise DomainError(
-                f"collar angle must lie in (0, pi/2), got {self.theta}")
-        st = math.sin(self.theta)
-        lam = self.c * st + math.sqrt(self.c * self.c * st * st + 1.0)
-        object.__setattr__(self, "lambda_", lam)
-        object.__setattr__(
-            self, "point_a",
-            hp(lam * st, lam * math.cos(self.theta)))
+                f"collar angle must lie in (0, pi/2), got {theta}")
+        st = math.sin(theta)
+        lam = c * st + math.sqrt(c * c * st * st + 1.0)
+        return tuple.__new__(cls, (c, theta, lam,
+                                   hp(lam * st, lam * math.cos(theta))))
 
 
-@dataclass(frozen=True)
-class SeamAngleReport:
+class SeamAngleReport(NamedTuple):
     instance: SeamAngleInstance
     circle_residual: float       # point_a on x^2+y^2-2cx-1 = 0
     circle_residual_scaled: float  # residual over the equation's scale
@@ -270,27 +262,25 @@ def seam_angle_bound(cap: float) -> float:
     return math.atan(1.0 / chained)
 
 
-@dataclass(frozen=True)
-class MultiTwistFamily:
+class MultiTwistFamily(Validated, namedtuple(
+        "MultiTwistFamily", "lengths times cap_length cap_time")):
     """Twist displacements along disjoint decomposition curves whose
-    lengths respect a common cap."""
+    lengths respect the common cap cap_length; cap_time is the scale
+    the empirical constant refers to."""
 
-    lengths: tuple[float, ...]
-    times: tuple[float, ...]
-    cap_length: float            # upper bound assumed on the lengths
-    cap_time: float              # scale the empirical constant refers to
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
-        object.__setattr__(self, "times", tuple(float(v) for v in self.times))
-        if len(self.lengths) != len(self.times):
-            raise UsageError(
-                f"{len(self.lengths)} lengths vs {len(self.times)} times")
-        for v in self.lengths:
+    def __new__(cls, lengths, times, cap_length, cap_time):
+        lengths = tuple(float(v) for v in lengths)
+        times = tuple(float(v) for v in times)
+        if len(lengths) != len(times):
+            raise UsageError(f"{len(lengths)} lengths vs {len(times)} times")
+        for v in lengths:
             if not v > 0.0:
                 raise DomainError(f"curve lengths must be > 0, got {v}")
-        if not (self.cap_length > 0.0 and self.cap_time > 0.0):
+        if not (cap_length > 0.0 and cap_time > 0.0):
             raise DomainError("caps must be positive")
+        return tuple.__new__(cls, (lengths, times, cap_length, cap_time))
 
 
 def multitwist_fn_bound(family: MultiTwistFamily, window: int) -> BoundReport:

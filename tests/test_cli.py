@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from fnteich.cli import main
+from fnteich.cli import EVAL_FUNCTIONS, main
 
 
 def run(capsys, *argv):
@@ -286,6 +287,15 @@ class TestBounds:
         assert out == ""
         assert "log K must be >= 0" in err
 
+    @pytest.mark.parametrize("d,c", [("0", "inf"), ("1", "inf"),
+                                     ("1", "nan")])
+    def test_non_finite_constant_rejected(self, capsys, d, c):
+        code, out, err = run(capsys, "bounds", d, "--cap", "1",
+                             "--bishop-c", c)
+        assert code == 3
+        assert out == ""
+        assert f"pants-map constant must be finite and >= 0, got {c}" in err
+
     def test_reproducible(self, capsys):
         _, out1, _ = run(capsys, "bounds", "1", "--cap", "1",
                          "--bishop-c", "1")
@@ -357,6 +367,17 @@ class TestVerify:
         assert "hi >= 2" in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("suite", ["collar", "hexagon", "example81"])
+    def test_infinite_grid_hi_rejected(self, capsys, tmp_path, suite):
+        csv_path = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify", suite, "--grid",
+                                 "1:inf:3", "--csv", str(csv_path))
+        assert (code, out, caught) == (2, "", [])
+        assert "grid hi must be finite, got inf" in err
+        assert not csv_path.exists()
+
     def test_example81_csv_holds_plain_floats(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         code, _, _ = run(capsys, "verify", "example81", "--grid", "1:100:2",
@@ -393,8 +414,9 @@ class TestVerify:
 
 
 # Runs fnteich.cli.main on each argv (a JSON list of lists) in one fresh
-# interpreter and prints, per argv, the exit code, stdout, stderr and
-# whether numpy is loaded by then.
+# interpreter and prints, per argv, the exit code, stdout, stderr, the
+# fnteich submodules and dataclasses loaded by then, and whether numpy
+# is loaded by then.
 FRESH_CHILD = """
 import contextlib, io, json, sys
 from fnteich.cli import main
@@ -404,9 +426,28 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     results.append((code, out.getvalue(), err.getvalue(),
+                    sorted(m for m in sys.modules
+                           if m.startswith("fnteich.") or m == "dataclasses"),
                     "numpy" in sys.modules))
 print(json.dumps(results))
 """
+
+SCALAR_ARGVS = (["eval", "B", "2"], ["eval", "h", "0"],
+                ["bounds", "1", "--cap", "1", "--bishop-c", "1",
+                 "--logk", "0.5"],
+                ["eval", "B", "-1"], ["eval", "nosuch", "1"],
+                ["eval", "arc81", "nan"])
+
+# arguments that each eval function accepts (arc81 gets the rejected nan,
+# since a valid n loads families and with it numpy)
+EVAL_ARGS = {
+    "B": ["2"], "omega": ["0.5"], "theta": ["0.5"],
+    "dist": ["0", "1", "0", "2"], "hexagon-sides": ["1", "1", "1"],
+    "hexagon-alt": ["1", "1", "1", "2"], "K": ["0.5"], "mu": ["0.5"],
+    "mu-lb": ["0.5"], "h": ["0.5"], "hprime": ["0.5"],
+    "quad-mod": ["-1", "0", "1", "inf"], "cyl-interval": ["0.5"],
+    "affine-k": ["0.5"], "twist-k": ["1", "0.5"], "L": ["0.5"],
+    "seam-angle": ["0.5"], "arc81": ["nan"]}
 
 
 def run_fresh(*argvs):
@@ -422,12 +463,7 @@ def run_fresh(*argvs):
 
 class TestColdImports:
     def test_scalar_commands_never_load_numpy(self):
-        results = run_fresh(
-            ["eval", "B", "2"], ["eval", "h", "0"],
-            ["bounds", "1", "--cap", "1", "--bishop-c", "1",
-             "--logk", "0.5"],
-            ["eval", "B", "-1"], ["eval", "nosuch", "1"],
-            ["eval", "arc81", "nan"])
+        results = run_fresh(*SCALAR_ARGVS)
         assert [numpy for *_, numpy in results] == [False] * 6
         (b, h, bounds, domain, unknown, arc81) = [r[:3] for r in results]
         assert b == [0, "0.136170734455916\n", ""]
@@ -439,9 +475,29 @@ class TestColdImports:
                 (arc81, 2, "must be an integer")):
             assert code == expected and out == "" and text in err
 
+    def test_scalar_commands_never_load_dataclasses(self):
+        assert set(EVAL_ARGS) == set(EVAL_FUNCTIONS)
+        evals = [["eval", name, *args] for name, args in EVAL_ARGS.items()]
+        results = run_fresh(*SCALAR_ARGVS, *evals)
+        assert "dataclasses" not in results[-1][3]
+        for argv, (code, out, err, _, _) in zip(evals, results[6:]):
+            assert (code, err == "") == ((2, False) if argv[1] == "arc81"
+                                         else (0, True)), argv
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["eval", "B", "2"], ["hyperbolic", "reports"]),
+        (["eval", "h", "0"], ["conformal", "hyperbolic", "reports"]),
+        (SCALAR_ARGVS[2], ["bounds", "hyperbolic", "reports"]),
+        (["eval", "nosuch", "1"], []),
+        (["eval", "arc81", "nan"], [])])
+    def test_each_command_loads_only_its_modules(self, argv, modules):
+        [(_, _, _, loaded, _)] = run_fresh(argv)
+        assert loaded == sorted(f"fnteich.{m}"
+                                for m in ["cli", "errors", *modules])
+
     def test_dist_loads_numpy(self, capsys, tmp_path):
         run(capsys, "example", "fn1", "4", "--out", str(tmp_path))
-        [(code, out, _, numpy)] = run_fresh(
+        [(code, out, _, _, numpy)] = run_fresh(
             ["dist", str(tmp_path / "fn1_n4_w4_x.fnstruct"),
              str(tmp_path / "fn1_n4_w4_y.fnstruct")])
         assert code == 0 and numpy
