@@ -344,16 +344,26 @@ class TestVerify:
         assert out == ""
         assert "fixed axes" in err
 
-    @pytest.mark.parametrize("suite,grid,golden", [
-        ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv"),
-        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv"),
-        ("metric-axioms", "1:2:250", "metric_axioms_grid_1_2_250.csv")])
+    # example81 at n = 1..10 fails limit_to_one, so that its golden
+    # holds a failing row; mu and delta have fixed axes and take no grid
+    @pytest.mark.parametrize("suite,grid,golden,status", [
+        ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv", 0),
+        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv", 0),
+        ("metric-axioms", "1:2:250", "metric_axioms_grid_1_2_250.csv", 0),
+        ("hexagon", "0.5:2:3", "hexagon_grid_0.5_2_3.csv", 0),
+        ("twist-lower", "0.5:2:3", "twist_lower_grid_0.5_2_3.csv", 0),
+        ("sandwich", "0.5:2:3", "sandwich_grid_0.5_2_3.csv", 0),
+        ("angle", "0.5:2:3", "angle_grid_0.5_2_3.csv", 0),
+        ("example81", "1:10:2", "example81_grid_1_10_2.csv", 1),
+        ("mu", None, "mu.csv", 0),
+        ("delta", None, "delta.csv", 0)])
     def test_csv_matches_golden_file(self, capsys, tmp_path, suite, grid,
-                                     golden):
+                                     golden, status):
         csv_path = tmp_path / "out.csv"
-        code, _, _ = run(capsys, "verify", suite, "--grid", grid,
+        grid_args = ("--grid", grid) if grid is not None else ()
+        code, _, _ = run(capsys, "verify", suite, *grid_args,
                          "--csv", str(csv_path))
-        assert code == 0
+        assert code == status
         data = Path(__file__).parent / "data" / golden
         assert csv_path.read_bytes() == data.read_bytes()
 
