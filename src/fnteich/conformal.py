@@ -116,7 +116,9 @@ def twist_min_dilatation_derivative(t: float) -> float:
     d/dt = -(lam/pi) mu'(r) r^3, strictly positive."""
     if not t >= 0.0:
         raise DomainError(f"requires t >= 0, got {t}")
-    if t > 700.0:   # lam overflows; lam r^3 = e^(-t/2) = r there
+    # past t = 40, e^-t is below half an ulp of 1, so r = e^(-t/2) and
+    # lam r^3 = r in doubles; lam * mu'(r) * r^3 overflows from t = 474
+    if t > 40.0:
         r = math.exp(-t / 2.0)
         if r == 0.0:
             raise DomainError(f"twist time {t} out of floating-point range")

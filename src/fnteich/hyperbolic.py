@@ -342,15 +342,14 @@ def verify_pants_collar(l: PantsBoundaryLengths | PantsLengthGrid,
         return report
     lengths = l.as_tuple()
     sides = _collar_sides(*_half_trig([v / 2.0 for v in lengths]))
-    for i in range(3):
-        if lengths[i] == 0.0:
-            for _ in range(3):
-                report.skip()
-            continue
-        margin = collar_margin(lengths[i])
-        for k in range(3 * i, 3 * i + 3):
-            report.check(COLLAR_CHECKS[k], lengths, sides[k], margin,
-                         tol=COLLAR_SLACK_TOL)
+    # check k belongs to boundary k // 3
+    live = [k for k in range(9) if lengths[k // 3] != 0.0]
+    for _ in range(9 - len(live)):
+        report.skip()
+    report.check_many([COLLAR_CHECKS[k] for k in live], [lengths],
+                      [[sides[k] for k in live]],
+                      [[collar_margin(lengths[k // 3]) for k in live]],
+                      tol=COLLAR_SLACK_TOL)
     return report
 
 

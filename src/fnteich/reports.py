@@ -1,12 +1,15 @@
 """Check records, verification reports and the value-type base.
 
 A VerificationReport is the sink every grid- or case-level inequality
-checker in this package writes into.  It streams: each comparison of lhs
-against rhs updates the check count and the minimum slack lhs - rhs, is
-written as one CSV row when the report has a writer, and is kept as a
-CheckRecord only if it fails, so big grids never hold every record.
-Output is deterministic: failures are sorted by name and input tuple,
-and the only time-dependent line is the trailing wall-time comment.
+checker in this package writes into.  Checks arrive as slabs through
+check_many: n input tuples by k check names, with one lhs and rhs per
+cell; check is its one-row, one-name form.  check_many is the report's
+one bookkeeping path.  It streams: each comparison of lhs against rhs
+updates the check count and the minimum slack lhs - rhs, is written as
+one CSV row when the report has a writer, and is kept as a CheckRecord
+only if it fails, so big grids never hold every record.  Output is
+deterministic: failures are sorted by name and input tuple, and the
+only time-dependent line is the trailing wall-time comment.
 """
 
 from __future__ import annotations
@@ -59,34 +62,27 @@ class VerificationReport:
         self.wall_time = 0.0
 
     def check(self, name, inputs, lhs, rhs, tol=0.0) -> bool:
-        """Record lhs >= rhs - tol; returns whether it held."""
-        slack = lhs - rhs
-        self.total += 1
-        if math.isfinite(slack):
-            self.min_slack = min(self.min_slack, slack)
-        passed = slack >= -tol
-        if not passed:
-            self.failures.append(
-                CheckRecord(name, tuple(inputs), lhs, rhs, slack))
-        if self.csv_writer is not None:
-            self.csv_writer.writerow((name,
-                                      " ".join(repr(v) for v in inputs),
-                                      repr(lhs), repr(rhs), repr(slack)))
-        return passed
+        """Record lhs >= rhs - tol as a one-row, one-name check_many;
+        returns whether it held."""
+        return bool(self.check_many((name,), (inputs,), lhs, rhs, tol)[0, 0])
 
     def check_many(self, names, inputs, lhs, rhs, tol=0.0):
         """Record lhs[i, j] >= rhs[i, j] - tol for the n input tuples
         `inputs` (rows i) and the k check `names` (columns j); lhs, rhs
         and tol broadcast to shape (n, k).  Counts, failures, min_slack
-        and CSV rows come out as from n * k calls to check in row-major
-        order.  Returns the (n, k) mask of checks that held."""
+        and CSV rows come out as if the n * k checks were recorded one
+        at a time in row-major order.  Returns the (n, k) mask of checks
+        that held.  This is the one place a report counts checks, tracks
+        min_slack, records failures and writes CSV rows."""
         import numpy as np
 
         shape = (len(inputs), len(names))
         if 0 in shape:
             return np.ones(shape, dtype=bool)
-        lhs = np.broadcast_to(np.asarray(lhs, dtype=np.float64), shape)
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), shape)
+        # assignment broadcasts faster than broadcast_to on small slabs
+        cells = np.empty((2, *shape))
+        cells[0], cells[1] = lhs, rhs
+        lhs, rhs = cells
         with np.errstate(all="ignore"):
             slack = lhs - rhs
             passed = slack >= -np.asarray(tol, dtype=np.float64)
@@ -94,7 +90,7 @@ class VerificationReport:
         finite = slack[np.isfinite(slack)]
         if finite.size:
             # the first minimiser, so that of 0.0 and -0.0 the earlier
-            # one is kept, as min() does in check
+            # one is kept, as a running min() would
             self.min_slack = min(self.min_slack,
                                  float(finite[np.argmin(finite)]))
         for i, j in zip(*np.nonzero(~passed)):

@@ -2,13 +2,17 @@
 
 Each suite sweeps a grid (or a seeded random sample), evaluates both
 sides of every inequality it owns, and streams every check and its
-explanatory notes into a VerificationReport, which it returns.  Grids
-and seeds are fixed and printed, so the rendered report is the same on
-every run apart from its wall-time line.
+explanatory notes into a VerificationReport, which it returns.  Checks
+go in as columns: one check_many per run of rows that share their check
+names, in the row order of the sweep, so that the CSV rows come out in
+the order of a nested loop over the grid; only one-off checks use
+check.  Grids and seeds are fixed and printed, so the rendered report
+is the same on every run apart from its wall-time line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -84,13 +88,12 @@ def run_collar(grid: GridSpec | None = None,
     report = VerificationReport(
         "collar", f"l per axis {grid.describe()} (log), 3 axes", csv_writer)
     hyp.verify_pants_collar(hyp.PantsLengthGrid(axis, axis, axis), report)
-    chain_bad = 0
-    for l in axis:
-        mid, margin = hyp.halfseam_intermediate_bound(l)
-        if not report.check("chainstep_halfseam>=B", (l,), mid, margin,
-                            tol=1e-12):
-            chain_bad += 1
-    report.note(f"intermediate chain step violations: {chain_bad}")
+    chain = np.array([hyp.halfseam_intermediate_bound(l) for l in axis])
+    held = report.check_many(("chainstep_halfseam>=B",),
+                             [(l,) for l in axis],
+                             chain[:, :1], chain[:, 1:], tol=1e-12)
+    report.note(f"intermediate chain step violations: "
+                f"{np.count_nonzero(~held)}")
     return report
 
 
@@ -101,16 +104,13 @@ def run_hexagon(grid: GridSpec | None = None,
     axis = grid.log_points()
     report = VerificationReport(
         "hexagon", f"a per axis {grid.describe()} (log), 3 axes", csv_writer)
-    for a1 in axis:
-        for a2 in axis:
-            for a3 in axis:
-                hexa = hyp.HexagonAlternatingSides(a1, a2, a3)
-                b = hyp.hexagon_sides(hexa)
-                back = hyp.hexagon_sides(hyp.HexagonAlternatingSides(*b))
-                err = max(abs(x - y) / y for x, y in
-                          zip(back, (a1, a2, a3)))
-                report.check("roundtrip_rel_err<=1e-9", (a1, a2, a3),
-                             1e-9, err)
+    inputs = list(itertools.product(axis, repeat=3))
+    errs = []
+    for a in inputs:
+        b = hyp.hexagon_sides(hyp.HexagonAlternatingSides(*a))
+        back = hyp.hexagon_sides(hyp.HexagonAlternatingSides(*b))
+        errs.append([max(abs(x - y) / y for x, y in zip(back, a))])
+    report.check_many(("roundtrip_rel_err<=1e-9",), inputs, 1e-9, errs)
     return report
 
 
@@ -123,37 +123,36 @@ def run_mu(grid: GridSpec | None = None,
     report = VerificationReport(
         "mu", "r 0.01:0.99:99 (lin); fd 0.05:0.95:181; t 0:20:401",
         csv_writer)
-    min_lb_slack = math.inf
-    for k in range(1, 100):
-        r = k / 100.0
-        mu = cf.grotzsch_modulus(r)
-        lb = cf.grotzsch_lower_bound(r)
-        report.check("mu>lower_bound", (r,), mu, lb)
-        min_lb_slack = min(min_lb_slack, mu - lb)
-        prod = mu * cf.grotzsch_modulus(math.sqrt(1.0 - r * r))
-        report.check("mu_product_identity", (r,), 1e-9,
-                     abs(prod - math.pi ** 2 / 4.0))
-    report.note(f"minimum lower-bound slack observed: {min_lb_slack!r}")
+    rs = [k / 100.0 for k in range(1, 100)]
+    mus = [cf.grotzsch_modulus(r) for r in rs]
+    lbs = [cf.grotzsch_lower_bound(r) for r in rs]
+    report.check_many(
+        ("mu>lower_bound", "mu_product_identity"), [(r,) for r in rs],
+        [(mu, 1e-9) for mu in mus],
+        [(lb, abs(mu * cf.grotzsch_modulus(math.sqrt(1.0 - r * r))
+                  - math.pi ** 2 / 4.0))
+         for r, mu, lb in zip(rs, mus, lbs)])
+    report.note(f"minimum lower-bound slack observed: "
+                f"{min(mu - lb for mu, lb in zip(mus, lbs))!r}")
     step = 1e-6
-    for k in range(181):
-        r = 0.05 + 0.9 * k / 180.0
+    rs = [0.05 + 0.9 * k / 180.0 for k in range(181)]
+    rel = []
+    for r in rs:
         fd = (cf.grotzsch_modulus(r + step)
               - cf.grotzsch_modulus(r - step)) / (2.0 * step)
-        formula = cf.grotzsch_modulus_derivative(r)
-        report.check("mu_derivative_vs_fd", (r,), 1e-6,
-                     abs(formula - fd) / abs(fd))
+        rel.append([abs(cf.grotzsch_modulus_derivative(r) - fd) / abs(fd)])
+    report.check_many(("mu_derivative_vs_fd",), [(r,) for r in rs], 1e-6,
+                      rel)
     report.check("mu_at_symmetric_point", (0.5 ** 0.5,), 1e-10,
                  abs(cf.grotzsch_modulus(1.0 / math.sqrt(2.0))
                      - math.pi / 2.0))
     report.check("floor_at_zero", (0.0,), 1e-9,
                  abs(cf.twist_min_dilatation(0.0) - 1.0))
-    prev = cf.twist_min_dilatation(0.0)
-    for k in range(1, 401):
-        t = 20.0 * k / 400.0
-        cur = cf.twist_min_dilatation(t)
-        report.check("floor_strictly_increasing", (t,), cur, prev,
-                     tol=-1e-15)
-        prev = cur
+    ts = [20.0 * k / 400.0 for k in range(401)]
+    floors = np.array([cf.twist_min_dilatation(t) for t in ts])
+    report.check_many(("floor_strictly_increasing",),
+                      [(t,) for t in ts[1:]],
+                      floors[1:, None], floors[:-1, None], tol=-1e-15)
     return report
 
 
@@ -169,11 +168,14 @@ def run_twist_lower(grid: GridSpec | None = None,
         f"l {grid.describe()} (log) x t 0:10:50 (lin, open at 0)",
         csv_writer)
     floors = [cf.twist_min_dilatation(t) for t in times]
+    ks = []
     for l in lengths:
         angle = hyp.collar_data(l).angle
-        for t, floor in zip(times, floors):
-            k = cf.affine_dilatation(t / (2.0 * angle)).k
-            report.check("K_constructed>=floor", (l, t), k, floor, tol=1e-10)
+        ks += [[cf.affine_dilatation(t / (2.0 * angle)).k] for t in times]
+    report.check_many(("K_constructed>=floor",),
+                      list(itertools.product(lengths, times)), ks,
+                      [[floor] for _ in lengths for floor in floors],
+                      tol=1e-10)
     return report
 
 
@@ -187,13 +189,13 @@ def run_delta(grid: GridSpec | None = None,
         "delta", f"caps {caps}; 100 points per cap", csv_writer)
     for cap in caps:
         res = tw.twist_delta(cap)
-        report.check("floor_at_threshold", (cap,), 1e-12,
-                     abs(res.floor_at_threshold - cap))
-        for k in range(1, 101):
-            t = res.threshold_time * k / 100.0
-            report.check("t<=delta*log_floor", (cap, t),
-                         res.delta * math.log(cf.twist_min_dilatation(t)), t,
-                         tol=1e-12)
+        report.check_many(("floor_at_threshold",), [(cap,)], 1e-12,
+                          abs(res.floor_at_threshold - cap))
+        ts = [res.threshold_time * k / 100.0 for k in range(1, 101)]
+        report.check_many(
+            ("t<=delta*log_floor",), [(cap, t) for t in ts],
+            [[res.delta * math.log(cf.twist_min_dilatation(t))] for t in ts],
+            [(t,) for t in ts], tol=1e-12)
     return report
 
 
@@ -208,27 +210,29 @@ def run_angle(grid: GridSpec | None = None,
     report = VerificationReport(
         "angle", f"cap {grid.describe()} (log); kit c x theta survey",
         csv_writer)
-    prev = None
-    for cap in caps:
-        phi = tw.seam_angle_bound(cap)
-        report.check("angle_bound_positive", (cap,), phi, 0.0, tol=-0.0)
-        if prev is not None:
-            report.check("angle_bound_decreasing", (cap,), prev, phi)
-        prev = phi
+    phis = np.array([tw.seam_angle_bound(cap) for cap in caps])
+    report.check("angle_bound_positive", (caps[0],), phis[0], 0.0, tol=-0.0)
+    report.check_many(("angle_bound_positive", "angle_bound_decreasing"),
+                      [(cap,) for cap in caps[1:]],
+                      np.column_stack((phis[1:], phis[:-1])),
+                      np.column_stack((np.zeros(len(caps) - 1), phis[1:])),
+                      tol=(-0.0, 0.0))
     report.check("angle_bound_small_cap_limit", (1e-12,),
                  tw.seam_angle_bound(1e-12), 1.5)
 
     end_violations = []
     interp = set()
-    for c in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
-        for k in range(1, 9):
-            theta = 0.18 * k
-            rep = tw.seam_angle_kit(tw.SeamAngleInstance(c, theta))
-            report.check("point_on_circle", (c, theta), 1e-12,
-                         abs(rep.circle_residual_scaled))
-            interp.add(rep.interpretation)
-            if not rep.end_inequality_holds:
-                end_violations.append((c, theta))
+    points = [(c, 0.18 * k)
+              for c in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
+              for k in range(1, 9)]
+    residuals = []
+    for c, theta in points:
+        rep = tw.seam_angle_kit(tw.SeamAngleInstance(c, theta))
+        residuals.append([abs(rep.circle_residual_scaled)])
+        interp.add(rep.interpretation)
+        if not rep.end_inequality_holds:
+            end_violations.append((c, theta))
+    report.check_many(("point_on_circle",), points, 1e-12, residuals)
     report.note(f"two-ratio quantity matches: {sorted(interp)} "
                 "(the exponentiated cross ratio, not a squared distance)")
     report.note(f"end-inequality violations (reported, not asserted): "
@@ -253,45 +257,41 @@ def run_sandwich(grid: GridSpec | None = None,
     report = VerificationReport(
         "sandwich", f"d 0:5:10 (lin) x N {grid.describe()} (log) x C "
         f"{grid.describe()} (log)", csv_writer)
+    names = ("d<=reverse_of_forward", "twist_route<=combined",
+             "combined_monotone_in_d")
     note_seen = False
     for n in ns:
         for c in cs:
             assume = qb.BoundAssumptions(cap=n, bishop_c=c)
-            prev_combined = None
-            for d in ds:
-                combined = qb.combined_qc_upper(d, assume)
-                twist_only = qb.twist_change_bound(d, assume)
-                back = qb.fn_from_qc_upper(combined.upper, assume)
-                report.check("d<=reverse_of_forward", (d, n, c),
-                             back.upper, d, tol=1e-12)
-                report.check("twist_route<=combined", (d, n, c),
-                             combined.upper, twist_only.upper, tol=1e-12)
-                if prev_combined is not None:
-                    report.check("combined_monotone_in_d", (d, n, c),
-                                 combined.upper, prev_combined, tol=1e-12)
-                prev_combined = combined.upper
-                note_seen = (note_seen
-                             or qb.CYLINDER_LENGTH_NOTE in combined.notes)
+            combined = [qb.combined_qc_upper(d, assume) for d in ds]
+            note_seen = note_seen or any(
+                qb.CYLINDER_LENGTH_NOTE in b.notes for b in combined)
+            upper = np.array([b.upper for b in combined])
+            lhs = np.column_stack((
+                [qb.fn_from_qc_upper(u, assume).upper for u in upper.tolist()],
+                upper, upper))
+            rhs = np.column_stack((
+                ds, [qb.twist_change_bound(d, assume).upper for d in ds],
+                np.r_[np.nan, upper[:-1]]))
+            inputs = [(d, n, c) for d in ds]
+            report.check_many(names[:2], inputs[:1], lhs[:1, :2],
+                              rhs[:1, :2], tol=1e-12)
+            report.check_many(names, inputs[1:], lhs[1:], rhs[1:],
+                              tol=1e-12)
     for d in (1.0, 3.0):
-        for n in ns:
-            prev = None
-            for c in cs:
-                val = qb.combined_qc_upper(
-                    d, qb.BoundAssumptions(cap=n, bishop_c=c)).upper
-                if prev is not None:
-                    report.check("combined_monotone_in_C", (d, n, c),
-                                 val, prev, tol=1e-12)
-                prev = val
-        for c in (1.0,):
-            prev = None
-            for n in ns:
-                lip = qb.bilipschitz_sandwich(
-                    d, qb.BoundAssumptions(cap=n, bishop_c=c)
-                ).forward_lipschitz
-                if prev is not None:
-                    report.check("constants_degrade_with_cap", (d, n, c),
-                                 lip, prev, tol=1e-12)
-                prev = lip
+        vals = np.array([[qb.combined_qc_upper(
+            d, qb.BoundAssumptions(cap=n, bishop_c=c)).upper for c in cs]
+            for n in ns])
+        report.check_many(("combined_monotone_in_C",),
+                          [(d, n, c) for n in ns for c in cs[1:]],
+                          vals[:, 1:].reshape(-1, 1),
+                          vals[:, :-1].reshape(-1, 1), tol=1e-12)
+        lips = np.array([qb.bilipschitz_sandwich(
+            d, qb.BoundAssumptions(cap=n, bishop_c=1.0)).forward_lipschitz
+            for n in ns])
+        report.check_many(("constants_degrade_with_cap",),
+                          [(d, n, 1.0) for n in ns[1:]], lips[1:, None],
+                          lips[:-1, None], tol=1e-12)
     report.check("cylinder_note_present", (), 1.0 if note_seen else -1.0, 0.0)
     report.note(qb.CYLINDER_LENGTH_NOTE)
     return report
@@ -390,14 +390,11 @@ def run_metric_axioms(grid: GridSpec | None = None,
             np.column_stack((abs(dxy - sup), abs(dxy - dyx), dxx, dxz)),
             tol=(0.0, 0.0, 0.0, 1e-12))
     axis = [float(v) for v in np.geomspace(0.1, 10.0, 7)]
-    for lx in axis:
-        for ly in axis:
-            for k in (1.0, 1.22, 1.5, 2.0, 4.0):
-                res = fns.wolpert_check(lx, ly, k)
-                algebraic = (abs(math.log(lx) - math.log(ly))
-                             <= math.log(k))
-                report.check("wolpert_equivalence", (lx, ly, k),
-                             1.0 if res.passed == algebraic else -1.0, 0.0)
+    inputs = list(itertools.product(axis, axis, (1.0, 1.22, 1.5, 2.0, 4.0)))
+    agree = [[1.0 if fns.wolpert_check(lx, ly, k).passed
+              == (abs(math.log(lx) - math.log(ly)) <= math.log(k))
+              else -1.0] for lx, ly, k in inputs]
+    report.check_many(("wolpert_equivalence",), inputs, agree, 0.0)
     return report
 
 

@@ -39,12 +39,18 @@ class TwistScenario(Validated, namedtuple(
     _derived = ("collar",)
 
     def __new__(cls, curve_length, twist_time):
-        if not curve_length > 0.0:
-            raise DomainError(f"curve length must be > 0, got {curve_length}")
+        if not 0.0 < curve_length < math.inf:
+            raise DomainError(f"curve length must be finite and > 0, got "
+                              f"{curve_length}")
         if not math.isfinite(twist_time):
             raise DomainError(f"twist time must be finite, got {twist_time}")
-        return tuple.__new__(cls, (curve_length, twist_time,
-                                   collar_data(curve_length)))
+        try:
+            collar = collar_data(curve_length)
+        except (DomainError, ArithmeticError) as exc:
+            raise DomainError(f"the collar of curve length {curve_length} "
+                              f"is not representable in double precision "
+                              f"({exc})") from None
+        return tuple.__new__(cls, (curve_length, twist_time, collar))
 
     @property
     def shear_coefficient(self) -> float:
@@ -249,7 +255,10 @@ def seam_angle_cot_bounds(cap: float) -> tuple[float, float]:
         raise DomainError(f"length cap must be finite and > 0, got {cap}")
     d = collar_margin(cap)
     p = math.tanh(d)
-    chained = 2.0 * math.sqrt(3.0) * (cap + 4.0 * d) / (math.exp(d) * p ** 3)
+    den = math.exp(d) * p ** 3
+    # den underflows to 0 from cap ~ 248.4, where the bound is vacuous
+    chained = (2.0 * math.sqrt(3.0) * (cap + 4.0 * d) / den if den > 0.0
+               else math.inf)
     printed = (cap + 4.0 * d) / math.exp(d) * p
     return chained, printed
 
@@ -257,9 +266,15 @@ def seam_angle_cot_bounds(cap: float) -> tuple[float, float]:
 def seam_angle_bound(cap: float) -> float:
     """Positive lower bound, decreasing in the cap, for the angle between
     a decomposition curve of length <= cap and the shortest geodesic
-    returning to it: phi >= arccot of the chained cot bound."""
+    returning to it: phi >= arccot of the chained cot bound.  Raises
+    DomainError where that is not a positive double (caps from about
+    234.4, where the cot bound overflows)."""
     chained, _ = seam_angle_cot_bounds(cap)
-    return math.atan(1.0 / chained)
+    phi = math.atan(1.0 / chained)
+    if not phi > 0.0:
+        raise DomainError(f"the seam angle bound at length cap {cap} "
+                          "underflows to 0 in double precision")
+    return phi
 
 
 class MultiTwistFamily(Validated, namedtuple(

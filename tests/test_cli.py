@@ -63,6 +63,23 @@ class TestEval:
         assert out == ""
         assert "length cap must be finite and > 0" in err
 
+    @pytest.mark.parametrize("length,message", [
+        ("800", "the collar of curve length 800.0 is not representable"),
+        ("1e-320", "the collar of curve length 1e-320 is not representable"),
+        ("5e-324", "the collar of curve length 5e-324 is not representable"),
+        ("inf", "curve length must be finite and > 0, got inf")])
+    def test_twist_k_names_the_curve_length(self, capsys, length, message):
+        code, out, err = run(capsys, "eval", "twist-k", length, "1")
+        assert (code, out) == (3, "")
+        assert message in err
+
+    @pytest.mark.parametrize("cap", ["240", "300"])
+    def test_seam_angle_rejects_cap_whose_bound_underflows(self, capsys,
+                                                           cap):
+        code, out, err = run(capsys, "eval", "seam-angle", cap)
+        assert (code, out) == (3, "")
+        assert f"seam angle bound at length cap {float(cap)}" in err
+
     @pytest.mark.parametrize("function", ["h", "hprime"])
     def test_nan_twist_time_rejected(self, capsys, function):
         code, out, err = run(capsys, "eval", function, "nan")

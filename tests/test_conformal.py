@@ -135,6 +135,17 @@ class TestDilatationFloor:
         assert twist_min_dilatation_derivative(t) == pytest.approx(
             fd, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [474.0, 600.0, 700.0])
+    def test_derivative_finite_against_mpmath(self, t):
+        # h'(t) = pi / (4 K(r)^2) with r^2 = 1 / (1 + e^t); mpmath's
+        # ellipk takes the parameter r^2
+        import mpmath
+        with mpmath.workdps(50):
+            exact = mpmath.pi / (4 * mpmath.ellipk(
+                1 / (1 + mpmath.exp(mpmath.mpf(t)))) ** 2)
+            assert abs(twist_min_dilatation_derivative(t) - exact) \
+                <= 5e-16 * exact
+
 
 def random_quadruple(rng):
     pts = sorted(rng.uniform(-20.0, 20.0, size=4))

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fnteich.reports import VerificationReport
+from fnteich.reports import CheckRecord, VerificationReport
 
 SIDES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -28,6 +28,34 @@ def _state(report, buf):
             buf.getvalue())
 
 
+class ScalarModel:
+    """An independent pure-Python model of a report's bookkeeping, one
+    check at a time: every check is counted; min_slack is the minimum
+    over finite slacks only, keeping the earlier value on a tie (so of
+    0.0 and -0.0 the first seen); a check fails unless
+    slack >= -tol; every check writes one CSV row."""
+
+    def __init__(self, min_slack):
+        self.total = 0
+        self.min_slack = min_slack
+        self.failures = []
+        self.buf = io.StringIO()
+        self.writer = csv.writer(self.buf)
+
+    def check(self, name, inputs, lhs, rhs, tol):
+        slack = lhs - rhs
+        self.total += 1
+        if math.isfinite(slack) and slack < self.min_slack:
+            self.min_slack = slack
+        passed = slack >= -tol
+        if not passed:
+            self.failures.append(
+                CheckRecord(name, tuple(inputs), lhs, rhs, slack))
+        self.writer.writerow((name, " ".join(repr(v) for v in inputs),
+                              repr(lhs), repr(rhs), repr(slack)))
+        return passed
+
+
 @st.composite
 def slabs(draw):
     n = draw(st.integers(0, 5))
@@ -44,16 +72,25 @@ class TestCheckMany:
     @given(slabs(), st.sampled_from([math.inf, 0.0, -0.0, 0.5]))
     def test_matches_loop_of_check(self, slab, start):
         names, inputs, lhs, rhs, tol = slab
-        scalar, scalar_buf = _report()
+        model = ScalarModel(start)
         array, array_buf = _report()
-        scalar.min_slack = array.min_slack = start
-        held = [[scalar.check(name, inputs[i], lhs[i][j], rhs[i][j], tol)
+        array.min_slack = start
+        held = [[model.check(name, inputs[i], lhs[i][j], rhs[i][j], tol)
                  for j, name in enumerate(names)]
                 for i in range(len(inputs))]
         mask = array.check_many(names, inputs, lhs, rhs, tol)
-        assert _state(array, array_buf) == _state(scalar, scalar_buf)
+        assert _state(array, array_buf) == _state(model, model.buf)
         assert mask.shape == (len(inputs), len(names))
         assert mask.tolist() == held
+
+    @given(SIDES, SIDES, st.sampled_from([0.0, 1e-12, -0.0, 1.0]))
+    def test_check_is_one_row_of_the_model(self, lhs, rhs, tol):
+        model = ScalarModel(math.inf)
+        report, buf = _report()
+        held = report.check("c", (1, 2.5), lhs, rhs, tol)
+        assert type(held) is bool
+        assert held == model.check("c", (1, 2.5), lhs, rhs, tol)
+        assert _state(report, buf) == _state(model, model.buf)
 
     def test_first_zero_sets_min_slack_sign(self):
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
