@@ -362,25 +362,26 @@ class TestVerify:
         assert "fixed axes" in err
 
     # example81 at n = 1..10 fails limit_to_one, so that its golden
-    # holds a failing row; mu and delta have fixed axes and take no grid
-    @pytest.mark.parametrize("suite,grid,golden,status", [
-        ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv", 0),
-        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv", 0),
-        ("metric-axioms", "1:2:250", "metric_axioms_grid_1_2_250.csv", 0),
-        ("hexagon", "0.5:2:3", "hexagon_grid_0.5_2_3.csv", 0),
-        ("twist-lower", "0.5:2:3", "twist_lower_grid_0.5_2_3.csv", 0),
-        ("sandwich", "0.5:2:3", "sandwich_grid_0.5_2_3.csv", 0),
-        ("angle", "0.5:2:3", "angle_grid_0.5_2_3.csv", 0),
-        ("example81", "1:10:2", "example81_grid_1_10_2.csv", 1),
-        ("mu", None, "mu.csv", 0),
-        ("delta", None, "delta.csv", 0)])
+    # holds a failing row and verify exits 1; mu and delta have fixed
+    # axes and take no grid
+    @pytest.mark.parametrize("suite,grid,golden", [
+        ("collar", "0.5:2:3", "collar_grid_0.5_2_3.csv"),
+        ("distance-oracle", "1:2:50", "distance_oracle_grid_1_2_50.csv"),
+        ("metric-axioms", "1:2:250", "metric_axioms_grid_1_2_250.csv"),
+        ("hexagon", "0.5:2:3", "hexagon_grid_0.5_2_3.csv"),
+        ("twist-lower", "0.5:2:3", "twist_lower_grid_0.5_2_3.csv"),
+        ("sandwich", "0.5:2:3", "sandwich_grid_0.5_2_3.csv"),
+        ("angle", "0.5:2:3", "angle_grid_0.5_2_3.csv"),
+        ("example81", "1:10:2", "example81_grid_1_10_2.csv"),
+        ("mu", None, "mu.csv"),
+        ("delta", None, "delta.csv")])
     def test_csv_matches_golden_file(self, capsys, tmp_path, suite, grid,
-                                     golden, status):
+                                     golden):
         csv_path = tmp_path / "out.csv"
         grid_args = ("--grid", grid) if grid is not None else ()
         code, _, _ = run(capsys, "verify", suite, *grid_args,
                          "--csv", str(csv_path))
-        assert code == status
+        assert code == (1 if suite == "example81" else 0)
         data = Path(__file__).parent / "data" / golden
         assert csv_path.read_bytes() == data.read_bytes()
 
