@@ -241,7 +241,7 @@ def cmd_verify(ns) -> int:
         ok = True
         for name in names:
             result = run_suite(name, grid, writer)
-            sys.stdout.write(result.render(fmt=repr))
+            sys.stdout.write(result.render())
             ok = ok and result.passed
     finally:
         if csv_file:

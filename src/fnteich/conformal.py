@@ -150,9 +150,6 @@ class IdealQuadrilateral(Validated, namedtuple("IdealQuadrilateral",
                 f"vertices are not in positive cyclic order: {pts}")
         return tuple.__new__(cls, pts)
 
-    def as_tuple(self):
-        return tuple(self)
-
     def rotated(self) -> "IdealQuadrilateral":
         return IdealQuadrilateral(self.p2, self.p3, self.p4, self.p1)
 
@@ -170,7 +167,7 @@ def _positively_ordered(pts) -> bool:
 def _normalized_fourth_point(q: IdealQuadrilateral) -> float:
     """Image of p4 under the Moebius map sending (p1, p2, p3) to
     (inf, -1, 0); positive cyclic order makes it positive."""
-    z1, z2, z3, z4 = q.as_tuple()
+    z1, z2, z3, z4 = q
     if z1 == INF:
         x = -(z4 - z3) / (z2 - z3)
     elif z2 == INF:
@@ -182,7 +179,7 @@ def _normalized_fourth_point(q: IdealQuadrilateral) -> float:
     else:
         x = -((z4 - z3) * (z2 - z1)) / ((z4 - z1) * (z2 - z3))
     if not x > 0.0:
-        raise DomainError(f"degenerate quadrilateral {q.as_tuple()}")
+        raise DomainError(f"degenerate quadrilateral {tuple(q)}")
     return x
 
 

@@ -22,9 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 from .fnspace import CUSP, PantsGraph, StructureGenerator, StructureWindow
 from .hyperbolic import arcosh
+
+
+COTH1_SQ = 1.0 / math.tanh(1.0) ** 2
 
 
 class ArcLengthResult(NamedTuple):
@@ -32,6 +37,27 @@ class ArcLengthResult(NamedTuple):
     length: float
     bound_3coth: float      # 3 coth(1)^2, fails at n = 1
     bound_4coth: float      # 4 coth(1)^2, the actual supremum (at n = 1)
+
+
+def pants1_arc_cosh(n: np.ndarray) -> np.ndarray:
+    """cosh of the pants1 arc, coth n + cosh 1 / sinh n, for a float64
+    array of n >= 1, with 1 / sinh n written as 2 e^-n / (1 - e^-2n) to
+    stay finite for very large n.  Computed in place: n is overwritten
+    by the result, which is returned, and at most two more arrays of
+    its size are live."""
+    inv_sinh = np.negative(n)
+    np.exp(inv_sinh, out=inv_sinh)
+    inv_sinh *= 2.0
+    den = np.multiply(-2.0, n)
+    np.exp(den, out=den)
+    np.subtract(1.0, den, out=den)
+    inv_sinh /= den
+    del den
+    inv_sinh *= math.cosh(1.0)
+    cosh = np.tanh(n, out=n)
+    np.divide(1.0, cosh, out=cosh)
+    cosh += inv_sinh
+    return cosh
 
 
 def pants1_arc_length(n: int) -> ArcLengthResult:
@@ -44,13 +70,10 @@ def pants1_arc_length(n: int) -> ArcLengthResult:
     candidate caps are returned for comparison."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n}")
-    # 1/sinh(n) written via exp to stay finite for very large n
-    inv_sinh = 2.0 * math.exp(-n) / (1.0 - math.exp(-2.0 * n))
-    base = 1.0 / math.tanh(n) + math.cosh(1.0) * inv_sinh
-    coth1_sq = 1.0 / math.tanh(1.0) ** 2
+    base = float(pants1_arc_cosh(np.array([n], dtype=np.float64))[0])
     return ArcLengthResult(cosh_sq=base * base, length=arcosh(base),
-                           bound_3coth=3.0 * coth1_sq,
-                           bound_4coth=4.0 * coth1_sq)
+                           bound_3coth=3.0 * COTH1_SQ,
+                           bound_4coth=4.0 * COTH1_SQ)
 
 
 def make_fn_pair(kind: str, n: int, window: int
@@ -136,9 +159,10 @@ def pants1_graph(n_max: int) -> ChainedPantsModel:
 
     original = []
     recut = []
-    for n in range(1, n_max + 1):
+    arc_cosh = pants1_arc_cosh(np.arange(1, n_max + 1, dtype=np.float64))
+    for n, c in enumerate(arc_cosh.tolist(), start=1):
         original.append((f"glue{n}", float(n)))
-        recut.append((f"cut{n}", pants1_arc_length(n).length))
+        recut.append((f"cut{n}", arcosh(c)))
     for k in range(0, n_max + 1):
         original.append((f"link{k}", 1.0))
         recut.append((f"link{k}", 1.0))

@@ -239,14 +239,12 @@ def _check_aligned(x: StructureWindow, y: StructureWindow):
         raise UsageError("boundary/interior patterns differ between windows")
 
 
-def _embedded(x: StructureWindow, kind: str):
-    """The two coordinate columns of x that the metric `kind` compares:
-    the to_linf columns (log length, length * twist) for fn;
-    raw_length and raw_twist replace one of them by the raw length or
-    the raw twist."""
-    image = to_linf(x)
-    return (x.lengths if kind == "raw_length" else image.log_length,
-            x.twists if kind == "raw_twist" else image.length_times_twist)
+def _embedded(kind: str, lengths, twists, log_length, length_times_twist):
+    """The two coordinate columns that the metric `kind` compares: the
+    to_linf columns (log length, length * twist) for fn; raw_length and
+    raw_twist replace one of them by the raw length or the raw twist."""
+    return (lengths if kind == "raw_length" else log_length,
+            twists if kind == "raw_twist" else length_times_twist)
 
 
 def _sup_terms(ex, ey) -> np.ndarray:
@@ -262,7 +260,8 @@ def _terms(x: StructureWindow, y: StructureWindow, kind: str) -> np.ndarray:
     """Per-curve terms of the metric `kind` on aligned windows.  The fn
     terms are the sup-norm terms of the to_linf images, so the
     embedding identity holds exactly."""
-    return _sup_terms(_embedded(x, kind), _embedded(y, kind))
+    return _sup_terms(*(_embedded(kind, w.lengths, w.twists, *to_linf(w)[:2])
+                        for w in (x, y)))
 
 
 def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
@@ -277,8 +276,7 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     # through the same numpy log and product as the window columns, so a
     # tail term that ties the window supremum compares equal to it
     lengths, twists, _ = (np.array(c) for c in _columns([gx.tail, gy.tail]))
-    u = lengths if kind == "raw_length" else np.log(lengths)
-    v = twists if kind == "raw_twist" else lengths * twists
+    u, v = _embedded(kind, lengths, twists, np.log(lengths), lengths * twists)
     tail = _sup_terms((u[:1], v[:1]), (u[1:], v[1:]))[0]
     return "exact" if tail <= window_sup else "window-truncated"
 
@@ -430,14 +428,10 @@ class PantsGraph:
         object.__setattr__(self, "pants",
                            tuple(tuple(p) for p in self.pants))
         if self.boundary_curves is None:
-            counts = {}
-            for node in self.pants:
-                for slot in node:
-                    if slot is not CUSP:
-                        counts[slot] = counts.get(slot, 0) + 1
             object.__setattr__(
                 self, "boundary_curves",
-                frozenset(c for c, k in counts.items() if k == 1))
+                frozenset(c for c, occurrences in self.curve_slots().items()
+                          if len(occurrences) == 1))
         else:
             object.__setattr__(self, "boundary_curves",
                                frozenset(self.boundary_curves))
@@ -450,9 +444,6 @@ class PantsGraph:
                 if slot is not CUSP:
                     slots.setdefault(slot, []).append((pi, si))
         return {c: tuple(v) for c, v in slots.items()}
-
-    def curve_ids(self):
-        return sorted(self.curve_slots(), key=str)
 
 
 def validate_pants_graph(g: PantsGraph) -> VerificationReport:

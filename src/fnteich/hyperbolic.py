@@ -13,6 +13,7 @@ All functions here are pure; every value object is immutable.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -20,6 +21,8 @@ from .errors import DomainError, UsageError
 from .reports import Validated, VerificationReport
 
 COLLAR_SLACK_TOL = 1e-12
+_MIN_NORMAL = sys.float_info.min
+_LN2 = math.log(2.0)
 
 
 def arcosh(x: float) -> float:
@@ -31,9 +34,12 @@ def arcosh(x: float) -> float:
         if x > 1.0 - 1e-12:
             return 0.0
         raise DomainError(f"arcosh argument must be >= 1, got {x}")
-    if math.isinf(x):
-        return math.inf
     return math.log(x + math.sqrt((x - 1.0) * (x + 1.0)))
+
+
+def arcosh1p(u: float) -> float:
+    """arcosh(1 + u) for u >= 0, accurate down to tiny u."""
+    return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
 class HalfPlanePoint(Validated, namedtuple("HalfPlanePoint", "x y")):
@@ -71,12 +77,22 @@ def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
 
     This route has no cancellation near z = w; see
     hyp_distance_crossratio for the independent geodesic-endpoint route.
+    Heights whose ratio leaves the double range raise DomainError.
     """
     dx = z.x - w.x
     dy = z.y - w.y
-    u = (dx * dx + dy * dy) / (2.0 * z.y * w.y)
-    # arcosh(1 + u) written to stay accurate for small u
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+    den = 2.0 * z.y * w.y
+    if not _MIN_NORMAL <= den < math.inf:
+        # z -> 2^k z is an isometry and exact in binary: bring the larger
+        # height into [0.5, 1) so that the denominator keeps full precision
+        k = -math.frexp(max(z.y, w.y))[1]
+        dx, dy = math.ldexp(dx, k), math.ldexp(dy, k)
+        den = 2.0 * math.ldexp(z.y, k) * math.ldexp(w.y, k)
+        if not den >= _MIN_NORMAL:
+            raise DomainError(
+                f"hyp_distance: the heights of {tuple(z)} and {tuple(w)} "
+                f"are too far apart for double precision")
+    return arcosh1p((dx * dx + dy * dy) / den)
 
 
 def geodesic_endpoints(z: HalfPlanePoint, w: HalfPlanePoint):
@@ -163,6 +179,8 @@ def collar_margin(l: float) -> float:
                           "(cusps are handled by callers)")
     if l > 700.0:   # e^l overflows; B(l) ~ e^-l there
         return math.exp(-l)
+    if l < _MIN_NORMAL:     # 2/expm1(l) overflows; B(l) = log(2/l)/2 + O(l)
+        return 0.5 * (_LN2 - math.log(l))
     return 0.5 * math.log1p(2.0 / math.expm1(l))
 
 
@@ -171,6 +189,8 @@ def collar_halfwidth(l: float) -> float:
     length l, defined by sinh(omega) sinh(l/2) = 1."""
     if not l > 0.0:
         raise DomainError(f"collar_halfwidth requires l > 0, got {l}")
+    if l < _MIN_NORMAL:     # 1/sinh(l/2) overflows; omega = log(4/l) + O(l^2)
+        return 2.0 * _LN2 - math.log(l)
     return math.asinh(1.0 / math.sinh(l / 2.0))
 
 
@@ -211,9 +231,6 @@ class HexagonAlternatingSides(Validated, namedtuple(
                     f"({a1}, {a2}, {a3})")
         return tuple.__new__(cls, (a1, a2, a3))
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 def _half_trig(sides):
     """(cosh a_i, sinh a_i, cosh(a_j - a_k)) of three hexagon sides,
@@ -240,19 +257,11 @@ def _seam_excesses(ch, sh, cdiff):
             (c3 + d3) / s12 if s12 != 0.0 else math.inf)
 
 
-def _length_from_excess(u: float) -> float:
-    """arcosh(1 + u) for u >= 0, accurate down to tiny u."""
-    if math.isinf(u):
-        return math.inf
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
-
-
 def hexagon_sides(a: HexagonAlternatingSides):
     """The other three alternating sides (b1, b2, b3) of the hexagon,
     b_i opposite a_i.  The same formula applied to (b1, b2, b3) recovers
     (a1, a2, a3): the two triples cut out the same hexagon."""
-    return tuple(_length_from_excess(u)
-                 for u in _seam_excesses(*_half_trig(a.as_tuple())))
+    return tuple(arcosh1p(u) for u in _seam_excesses(*_half_trig(a)))
 
 
 def _altitude_cosh_sq_numerator(ch):
@@ -266,10 +275,9 @@ def hexagon_altitude(a: HexagonAlternatingSides, i: int) -> float:
     + 2 prod cosh a_j) / sinh^2 a_i."""
     if i not in (1, 2, 3):
         raise UsageError(f"altitude index must be 1, 2 or 3, got {i}")
-    sides = a.as_tuple()
-    ch = tuple(math.cosh(v) for v in sides)
+    ch = tuple(math.cosh(v) for v in a)
     num = _altitude_cosh_sq_numerator(ch)
-    s = math.sinh(sides[i - 1])
+    s = math.sinh(a[i - 1])
     return arcosh(math.sqrt(num) / s)
 
 
@@ -287,9 +295,6 @@ class PantsBoundaryLengths(Validated, namedtuple(
                     f"boundary lengths must be finite and >= 0, got "
                     f"({l1}, {l2}, {l3})")
         return tuple.__new__(cls, (l1, l2, l3))
-
-    def as_tuple(self):
-        return tuple(self)
 
 
 class PantsLengthGrid(NamedTuple):
@@ -315,8 +320,7 @@ def _collar_sides(ch, sh, cdiff):
     """Left sides of the COLLAR_CHECKS of one pair of pants, from the
     _half_trig values of its half-lengths: b_j / 2 for the seams and
     h_i for the altitudes (infinite at a cusp)."""
-    b1, b2, b3 = [_length_from_excess(u) / 2.0
-                  for u in _seam_excesses(ch, sh, cdiff)]
+    b1, b2, b3 = [arcosh1p(u) / 2.0 for u in _seam_excesses(ch, sh, cdiff)]
     root = math.sqrt(_altitude_cosh_sq_numerator(ch))
     h1, h2, h3 = [arcosh(root / s) if s > 0.0 else math.inf for s in sh]
     return (b2, b3, h1, b1, b3, h2, b1, b2, h3)
@@ -340,15 +344,14 @@ def verify_pants_collar(l: PantsBoundaryLengths | PantsLengthGrid,
     if isinstance(l, PantsLengthGrid):
         _verify_collar_grid(l, report)
         return report
-    lengths = l.as_tuple()
-    sides = _collar_sides(*_half_trig([v / 2.0 for v in lengths]))
+    sides = _collar_sides(*_half_trig([v / 2.0 for v in l]))
     # check k belongs to boundary k // 3
-    live = [k for k in range(9) if lengths[k // 3] != 0.0]
+    live = [k for k in range(9) if l[k // 3] != 0.0]
     for _ in range(9 - len(live)):
         report.skip()
-    report.check_many([COLLAR_CHECKS[k] for k in live], [lengths],
+    report.check_many([COLLAR_CHECKS[k] for k in live], [l],
                       [[sides[k] for k in live]],
-                      [[collar_margin(lengths[k // 3]) for k in live]],
+                      [[collar_margin(l[k // 3]) for k in live]],
                       tol=COLLAR_SLACK_TOL)
     return report
 

@@ -117,7 +117,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def render(self, fmt=repr) -> str:
+    def render(self) -> str:
         lines = [f"suite {self.title}",
                  f"grid {self.grid_desc}",
                  f"checks {self.total}",
@@ -126,11 +126,10 @@ class VerificationReport:
         for rec in sorted(self.failures, key=lambda r: (r.name, r.inputs)):
             ins = " ".join(f"{v:g}" if isinstance(v, float) else str(v)
                            for v in rec.inputs)
-            lines.append(f"fail {rec.name} inputs [{ins}] lhs "
-                         f"{fmt(rec.lhs)} rhs {fmt(rec.rhs)} slack "
-                         f"{fmt(rec.slack)}")
+            lines.append(f"fail {rec.name} inputs [{ins}] lhs {rec.lhs!r} "
+                         f"rhs {rec.rhs!r} slack {rec.slack!r}")
         ms = self.min_slack
-        lines.append(f"min_slack {fmt(ms) if math.isfinite(ms) else 'inf'}")
+        lines.append(f"min_slack {repr(ms) if math.isfinite(ms) else 'inf'}")
         for note in self.notes:
             lines.append(f"note {note}")
         lines.append(f"status {'PASS' if self.passed else 'FAIL'}")

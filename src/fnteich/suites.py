@@ -25,6 +25,7 @@ from . import fnspace as fns
 from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import UsageError
+from .families import COTH1_SQ, pants1_arc_cosh
 from .reports import VerificationReport
 
 DISTANCE_SEED = 74520231
@@ -306,32 +307,16 @@ def run_example81(grid: GridSpec | None = None,
     n_max = int(grid.hi) if grid is not None else 10 ** 6
     report = VerificationReport(
         "example81", f"n 1:{n_max} (all integers)", csv_writer)
-    # cosh^2 = (coth n + cosh 1 / sinh n)^2 with
-    # 1 / sinh n = 2 e^-n / (1 - e^-2n), evaluated in place so that two
-    # arrays of n_max values are live instead of ten
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    inv_sinh = np.negative(n)
-    np.exp(inv_sinh, out=inv_sinh)
-    inv_sinh *= 2.0
-    den = np.multiply(-2.0, n)
-    np.exp(den, out=den)
-    np.subtract(1.0, den, out=den)
-    inv_sinh /= den
-    del den
-    inv_sinh *= math.cosh(1.0)
-    cosh_sq = np.tanh(n, out=n)
-    np.divide(1.0, cosh_sq, out=cosh_sq)
-    cosh_sq += inv_sinh
+    cosh_sq = pants1_arc_cosh(np.arange(1, n_max + 1, dtype=np.float64))
     cosh_sq *= cosh_sq
-    coth1_sq = 1.0 / math.tanh(1.0) ** 2
     report.check("sup_attained_at_n1", (1,), 1e-9,
-                 abs(float(cosh_sq[0]) - 4.0 * coth1_sq))
-    report.check("bounded_by_4coth2", (n_max,), 4.0 * coth1_sq + 1e-9,
+                 abs(float(cosh_sq[0]) - 4.0 * COTH1_SQ))
+    report.check("bounded_by_4coth2", (n_max,), 4.0 * COTH1_SQ + 1e-9,
                  float(np.max(cosh_sq)))
     report.check("nonincreasing", (n_max,), float(-np.max(np.diff(cosh_sq))),
                  0.0, tol=1e-15)
-    over3 = np.nonzero(cosh_sq > 3.0 * coth1_sq)[0]
-    report.note(f"cap 3*coth(1)^2 = {3.0 * coth1_sq!r} violated at n = "
+    over3 = np.nonzero(cosh_sq > 3.0 * COTH1_SQ)[0]
+    report.note(f"cap 3*coth(1)^2 = {3.0 * COTH1_SQ!r} violated at n = "
                 f"{[int(i) + 1 for i in over3]}; observed supremum "
                 f"{float(cosh_sq[0])!r} = 4*coth(1)^2 at n = 1")
     report.check("limit_to_one", (n_max,), 1e-6,

@@ -39,6 +39,20 @@ class TestEval:
         assert code == 0
         assert float(out) == pytest.approx(math.log(2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("dist", "0", "1e-200", "0", "2e-200"), math.log(2.0)),
+        (("B", "5e-324"), 372.56660955097060),
+        (("omega", "5e-324"), 745.82636628250115)])
+    def test_extreme_inputs_give_finite_values(self, capsys, argv, expected):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(expected, rel=1e-14)
+
+    def test_distance_heights_too_far_apart(self, capsys):
+        code, out, err = run(capsys, "eval", "dist", "0", "1", "0", "1e-320")
+        assert (code, out) == (3, "")
+        assert "(0.0, 1.0) and (0.0, 1e-320)" in err
+
     def test_quad_mod_with_infinity(self, capsys):
         code, out, _ = run(capsys, "eval", "quad-mod", "-1", "0", "1", "inf")
         assert code == 0

@@ -190,7 +190,7 @@ class TestQuadModulus:
                 a, b, c, d = rng.uniform(-3.0, 3.0, size=4)
                 if a * d - b * c > 0.1:
                     break
-            pts = [apply_moebius((a, b, c, d), p) for p in q.as_tuple()]
+            pts = [apply_moebius((a, b, c, d), p) for p in q]
             if sum(p == math.inf for p in pts) > 1 or len(set(pts)) != 4:
                 continue
             if any(p != math.inf and abs(p) > 1e12 for p in pts):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from fnteich.errors import DomainError, UsageError
 from fnteich.families import (format_pants_graph, make_fn_pair,
-                              pants1_arc_length, pants1_graph)
+                              pants1_arc_cosh, pants1_arc_length,
+                              pants1_graph)
 from fnteich.fnspace import (fn_distance, fn_distance_variant,
                              is_upper_bounded, validate_pants_graph)
 
@@ -41,6 +43,17 @@ class TestArcLength:
         res = pants1_arc_length(10 ** 6)
         assert res.cosh_sq == 1.0
         assert res.length == 0.0
+
+    def test_one_arc_for_suite_library_and_graph(self):
+        # the example81 suite squares the kernel column in place; the
+        # scalar function and the re-cut lengths must be the same values
+        col = pants1_arc_cosh(np.arange(1, 101, dtype=np.float64))
+        col *= col
+        arcs = [pants1_arc_length(n) for n in range(1, 101)]
+        assert col.tolist() == [a.cosh_sq for a in arcs]
+        recut = dict(pants1_graph(100).recut_lengths)
+        assert [recut[f"cut{n}"] for n in range(1, 101)] == [
+            a.length for a in arcs]
 
     def test_domain(self):
         for n in (0, -3):

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,26 @@ class TestDistance:
         assert math.isfinite(d2)
         assert d2 == pytest.approx(d1, rel=1e-10, abs=1e-13)
 
+    @pytest.mark.parametrize("z,w", [
+        (hp(0.0, 1e-200), hp(0.0, 2e-200)),        # 2 y y' underflows
+        (hp(1e-160, 3e-170), hp(0.0, 5e-160)),     # so would dx^2
+        (hp(0.0, 1e-310), hp(1e-310, 1e-310)),     # subnormal heights
+        (hp(0.0, 1e200), hp(-3e200, 2e200)),       # 2 y y' overflows
+        (hp(1e300, 1e-200), hp(1e300, 3e-200)),
+    ])
+    def test_extreme_heights_against_mpmath(self, z, w):
+        with mpmath.workdps(50):
+            dz = mpmath.mpc(*z) - mpmath.mpc(*w)
+            exact = mpmath.acosh(1 + abs(dz) ** 2
+                                 / (2 * mpmath.mpf(z.y) * mpmath.mpf(w.y)))
+        assert hyp_distance(z, w) == pytest.approx(float(exact), rel=1e-15)
+        assert hyp_distance(w, z) == hyp_distance(z, w)
+
+    def test_heights_beyond_double_range_rejected(self):
+        with pytest.raises(DomainError,
+                           match=r"\(0\.0, 1\.0\) and \(0\.0, 1e-320\)"):
+            hyp_distance(hp(0.0, 1.0), hp(0.0, 1e-320))
+
 
 class TestAngleOfDistance:
     def test_small_d_limit(self):
@@ -161,6 +182,17 @@ class TestCollar:
                 fn(0.0)
             with pytest.raises(DomainError):
                 fn(-2.0)
+
+    @pytest.mark.parametrize("l", [5e-324, 1e-320, 1e-310, 1e-308,
+                                   2.2250738585072014e-308, 3e-308])
+    def test_subnormal_lengths_against_mpmath(self, l):
+        with mpmath.workdps(50):
+            length = mpmath.mpf(l)
+            margin = 0.5 * mpmath.log1p(2 / mpmath.expm1(length))
+            halfwidth = mpmath.asinh(1 / mpmath.sinh(length / 2))
+        assert collar_margin(l) == pytest.approx(float(margin), rel=1e-15)
+        assert collar_halfwidth(l) == pytest.approx(float(halfwidth),
+                                                    rel=1e-15)
 
     def test_collar_data_consistent(self):
         data = collar_data(2.0)
