@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .fnspace import CUSP, PantsGraph, StructureGenerator, StructureWindow
-from .hyperbolic import arcosh
+from .hyperbolic import arcosh1p
 
 
 COTH1_SQ = 1.0 / math.tanh(1.0) ** 2
@@ -39,25 +39,23 @@ class ArcLengthResult(NamedTuple):
     bound_4coth: float      # 4 coth(1)^2, the actual supremum (at n = 1)
 
 
-def pants1_arc_cosh(n: np.ndarray) -> np.ndarray:
-    """cosh of the pants1 arc, coth n + cosh 1 / sinh n, for a float64
-    array of n >= 1, with 1 / sinh n written as 2 e^-n / (1 - e^-2n) to
-    stay finite for very large n.  Computed in place: n is overwritten
-    by the result, which is returned, and at most two more arrays of
-    its size are live."""
-    inv_sinh = np.negative(n)
-    np.exp(inv_sinh, out=inv_sinh)
-    inv_sinh *= 2.0
+def pants1_arc_excess(n: np.ndarray) -> np.ndarray:
+    """cosh of the pants1 arc minus 1, coth n - 1 + cosh 1 / sinh n, for
+    a float64 array of n >= 1.  With e = e^-n it is written as
+    2 e (e + cosh 1) / (1 - e^2), a product of positive terms that
+    stays finite and keeps full relative accuracy for very large n.
+    Computed in place: n is overwritten by the result, which is
+    returned, and at most two more arrays of its size are live."""
     den = np.multiply(-2.0, n)
-    np.exp(den, out=den)
-    np.subtract(1.0, den, out=den)
-    inv_sinh /= den
-    del den
-    inv_sinh *= math.cosh(1.0)
-    cosh = np.tanh(n, out=n)
-    np.divide(1.0, cosh, out=cosh)
-    cosh += inv_sinh
-    return cosh
+    np.expm1(den, out=den)              # e^2 - 1
+    excess = np.negative(n, out=n)
+    np.exp(excess, out=excess)          # e
+    shifted = np.add(excess, math.cosh(1.0))
+    excess *= shifted
+    del shifted
+    excess *= -2.0
+    excess /= den
+    return excess
 
 
 def pants1_arc_length(n: int) -> ArcLengthResult:
@@ -70,8 +68,9 @@ def pants1_arc_length(n: int) -> ArcLengthResult:
     candidate caps are returned for comparison."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n}")
-    base = float(pants1_arc_cosh(np.array([n], dtype=np.float64))[0])
-    return ArcLengthResult(cosh_sq=base * base, length=arcosh(base),
+    excess = float(pants1_arc_excess(np.array([n], dtype=np.float64))[0])
+    base = 1.0 + excess
+    return ArcLengthResult(cosh_sq=base * base, length=arcosh1p(excess),
                            bound_3coth=3.0 * COTH1_SQ,
                            bound_4coth=4.0 * COTH1_SQ)
 
@@ -159,10 +158,10 @@ def pants1_graph(n_max: int) -> ChainedPantsModel:
 
     original = []
     recut = []
-    arc_cosh = pants1_arc_cosh(np.arange(1, n_max + 1, dtype=np.float64))
-    for n, c in enumerate(arc_cosh.tolist(), start=1):
+    excess = pants1_arc_excess(np.arange(1, n_max + 1, dtype=np.float64))
+    for n, u in enumerate(excess.tolist(), start=1):
         original.append((f"glue{n}", float(n)))
-        recut.append((f"cut{n}", arcosh(c)))
+        recut.append((f"cut{n}", arcosh1p(u)))
     for k in range(0, n_max + 1):
         original.append((f"link{k}", 1.0))
         recut.append((f"link{k}", 1.0))

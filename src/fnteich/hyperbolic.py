@@ -25,20 +25,9 @@ _MIN_NORMAL = sys.float_info.min
 _LN2 = math.log(2.0)
 
 
-def arcosh(x: float) -> float:
-    """Inverse hyperbolic cosine as log(x + sqrt((x-1)(x+1))).
-
-    The factored radicand keeps full accuracy for x near 1.
-    """
-    if x < 1.0:
-        if x > 1.0 - 1e-12:
-            return 0.0
-        raise DomainError(f"arcosh argument must be >= 1, got {x}")
-    return math.log(x + math.sqrt((x - 1.0) * (x + 1.0)))
-
-
 def arcosh1p(u: float) -> float:
-    """arcosh(1 + u) for u >= 0, accurate down to tiny u."""
+    """arcosh(1 + u) for 0 <= u < 1e154, accurate down to tiny u;
+    inf beyond, where u (u + 2) overflows."""
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
@@ -54,10 +43,6 @@ class HalfPlanePoint(Validated, namedtuple("HalfPlanePoint", "x y")):
         if y <= 0.0:
             raise DomainError(f"point must satisfy y > 0, got y = {y}")
         return tuple.__new__(cls, (x, y))
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
 
     def scaled(self, factor: float) -> "HalfPlanePoint":
         return HalfPlanePoint(self.x * factor, self.y * factor)
@@ -76,7 +61,7 @@ def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
     """Hyperbolic distance, via cosh d = 1 + |z-w|^2 / (2 Im z Im w).
 
     This route has no cancellation near z = w; see
-    hyp_distance_crossratio for the independent geodesic-endpoint route.
+    hyp_distance_crossratio for the independent cross-ratio route.
     Heights whose ratio leaves the double range raise DomainError.
     """
     dx = z.x - w.x
@@ -95,67 +80,21 @@ def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
     return arcosh1p((dx * dx + dy * dy) / den)
 
 
-def geodesic_endpoints(z: HalfPlanePoint, w: HalfPlanePoint):
-    """Ideal endpoints (zstar, wstar) of the geodesic through z then w,
-    ordered so that zstar, z, w, wstar follow each other along it.
-    wstar is math.inf for a vertical geodesic traversed upward, and
-    zstar is -math.inf never (vertical downward gives zstar = inf swapped).
-
-    A horizontal separation so small that the semicircle's center
-    overflows the double range is treated as the vertical limit.
-    """
-    if z.x == w.x:
-        if z.y == w.y:
-            raise UsageError("geodesic through a single point is undefined")
-        if w.y > z.y:
-            return z.x, math.inf
-        return math.inf, z.x
-    c = (w.x * w.x + w.y * w.y - z.x * z.x - z.y * z.y) / (2.0 * (w.x - z.x))
-    r = math.hypot(z.x - c, z.y)
-    if not (math.isfinite(c) and math.isfinite(r)):
-        if w.y > z.y:
-            return z.x, math.inf
-        return math.inf, z.x
-    # the endpoints are the roots of x^2 - 2cx + (2c z.x - |z|^2); taking
-    # the far root as c +- r and the near one from the root product keeps
-    # the near endpoint accurate when the center is far away
-    product = 2.0 * c * z.x - (z.x * z.x + z.y * z.y)
-    if c >= 0.0:
-        hi = c + r
-        lo = product / hi
-    else:
-        lo = c - r
-        hi = product / lo
-    if z.x < w.x:
-        return lo, hi
-    return hi, lo
-
-
 def hyp_distance_crossratio(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
-    """Hyperbolic distance via the ideal-endpoint cross ratio
-    log[(z - w*)(w - z*) / ((w - w*)(z - z*))].
-
-    Retained as an independent cross-check of hyp_distance.
-    """
-    if z.x == w.x and z.y == w.y:
-        return 0.0
-    zstar, wstar = geodesic_endpoints(z, w)
-    if math.isinf(wstar):
-        return math.log(w.y / z.y)
-    if math.isinf(zstar):
-        return math.log(z.y / w.y)
-    zc, wc = z.z, w.z
-    # grouped as two well-scaled quotients: when one endpoint is far out,
-    # the large magnitudes cancel inside the first factor instead of
-    # overflowing a product of differences
-    q1 = (zc - wstar) / (wc - wstar)
-    q2 = (wc - zstar) / (zc - zstar)
-    val = abs(q1) * abs(q2)
-    if 0.0 < val < math.inf:
-        # the cross ratio is real and >= 1 for this ordering
-        return math.log(val)
-    return (math.log(abs(zc - wstar)) + math.log(abs(wc - zstar))
-            - math.log(abs(wc - wstar)) - math.log(abs(zc - zstar)))
+    """Hyperbolic distance log((A + B) / (A - B)), the log of the
+    ideal-endpoint cross ratio, with B = |z - w| and A = |z - conj w|:
+    an independent cross-check of hyp_distance, which never forms A.
+    A - B = 4 Im z Im w / (A + B), so nothing cancels near z = w."""
+    dx, zy, wy = z.x - w.x, z.y, w.y
+    b = math.hypot(dx, zy - wy)
+    if 0.0 < b < _MIN_NORMAL:
+        # a subnormal |z - w| has lost bits; z -> 2^k z is an isometry
+        # and exact in binary, so lift the larger height into [0.5, 1)
+        k = -math.frexp(max(zy, wy))[1]
+        dx, zy, wy = math.ldexp(dx, k), math.ldexp(zy, k), math.ldexp(wy, k)
+        b = math.hypot(dx, zy - wy)
+    a = math.hypot(dx, zy + wy)
+    return math.log1p((b / zy) * ((a + b) / (2.0 * wy)))
 
 
 def angle_of_distance(d: float) -> float:
@@ -164,6 +103,8 @@ def angle_of_distance(d: float) -> float:
     imaginary axis.  Strictly increasing from 0 onto (0, pi/2)."""
     if not d > 0.0:
         raise DomainError(f"angle_of_distance requires d > 0, got {d}")
+    if d < _MIN_NORMAL:     # d / 2 loses bits; theta(d) = d - d^3/12 + ...
+        return d
     return 2.0 * math.atan(math.tanh(d / 2.0))
 
 
@@ -261,24 +202,34 @@ def hexagon_sides(a: HexagonAlternatingSides):
     """The other three alternating sides (b1, b2, b3) of the hexagon,
     b_i opposite a_i.  The same formula applied to (b1, b2, b3) recovers
     (a1, a2, a3): the two triples cut out the same hexagon."""
-    return tuple(arcosh1p(u) for u in _seam_excesses(*_half_trig(a)))
+    ch, sh, cdiff = _half_trig(a)
+    b = [arcosh1p(u) for u in _seam_excesses(ch, sh, cdiff)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        if b[i] == math.inf:
+            # at a tiny side u or u (u + 2) overflows, where
+            # arcosh(1 + u) = log(2u) + O(1/u)
+            b[i] = (_LN2 + math.log(ch[i] + cdiff[i])
+                    - math.log(sh[j]) - math.log(sh[k]))
+    return tuple(b)
 
 
-def _altitude_cosh_sq_numerator(ch):
-    return (-1.0 + ch[0] * ch[0] + ch[1] * ch[1] + ch[2] * ch[2]
-            + 2.0 * ch[0] * ch[1] * ch[2])
+def _altitudes(ch, sh):
+    """The altitudes (h1, h2, h3) from the cosh and sinh of the sides:
+    sinh^2 h_i = (cosh^2 a_j + cosh^2 a_k + 2 cosh a_1 cosh a_2 cosh a_3)
+    / sinh^2 a_i, a sum of positive terms.  Infinite at a cusp (sinh 0)."""
+    c1, c2, c3 = ch
+    q1, q2, q3, p = c1 * c1, c2 * c2, c3 * c3, 2.0 * c1 * c2 * c3
+    return [math.asinh(math.sqrt(n) / s) if s > 0.0 else math.inf
+            for n, s in zip((q2 + q3 + p, q3 + q1 + p, q1 + q2 + p), sh)]
 
 
 def hexagon_altitude(a: HexagonAlternatingSides, i: int) -> float:
     """Length h_i of the shortest arc joining side a_i to the opposite
-    side b_i, from cosh^2 h_i = (-1 + sum cosh^2 a_j
-    + 2 prod cosh a_j) / sinh^2 a_i."""
+    side b_i (see _altitudes)."""
     if i not in (1, 2, 3):
         raise UsageError(f"altitude index must be 1, 2 or 3, got {i}")
-    ch = tuple(math.cosh(v) for v in a)
-    num = _altitude_cosh_sq_numerator(ch)
-    s = math.sinh(a[i - 1])
-    return arcosh(math.sqrt(num) / s)
+    return _altitudes([math.cosh(v) for v in a],
+                      [math.sinh(v) for v in a])[i - 1]
 
 
 class PantsBoundaryLengths(Validated, namedtuple(
@@ -321,8 +272,7 @@ def _collar_sides(ch, sh, cdiff):
     _half_trig values of its half-lengths: b_j / 2 for the seams and
     h_i for the altitudes (infinite at a cusp)."""
     b1, b2, b3 = [arcosh1p(u) / 2.0 for u in _seam_excesses(ch, sh, cdiff)]
-    root = math.sqrt(_altitude_cosh_sq_numerator(ch))
-    h1, h2, h3 = [arcosh(root / s) if s > 0.0 else math.inf for s in sh]
+    h1, h2, h3 = _altitudes(ch, sh)
     return (b2, b3, h1, b1, b3, h2, b1, b2, h3)
 
 
@@ -398,8 +348,11 @@ def halfseam_intermediate_bound(l: float) -> tuple[float, float]:
     adjacent to a boundary of length l is at least
     (1/2) arcosh(coth(l/2)), which in turn is at least B(l).
     Returns (intermediate, margin) so callers can confirm the middle
-    step separately from the end-to-end inequality."""
+    step separately from the end-to-end inequality.  The intermediate is
+    taken from the excess coth(l/2) - 1 = 2/(e^l - 1), as B(l) is, so
+    it does not round to 0 for large l."""
     if not l > 0.0:
         raise DomainError(f"requires l > 0, got {l}")
-    intermediate = 0.5 * arcosh(1.0 / math.tanh(l / 2.0))
-    return intermediate, collar_margin(l)
+    if l > 700.0:   # e^l overflows; (1/2) arcosh(1 + 2e^-l) ~ e^(-l/2)
+        return math.exp(-l / 2.0), collar_margin(l)
+    return 0.5 * arcosh1p(2.0 / math.expm1(l)), collar_margin(l)

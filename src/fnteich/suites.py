@@ -25,7 +25,7 @@ from . import fnspace as fns
 from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import UsageError
-from .families import COTH1_SQ, pants1_arc_cosh
+from .families import COTH1_SQ, pants1_arc_excess
 from .reports import VerificationReport
 
 DISTANCE_SEED = 74520231
@@ -307,7 +307,8 @@ def run_example81(grid: GridSpec | None = None,
     n_max = int(grid.hi) if grid is not None else 10 ** 6
     report = VerificationReport(
         "example81", f"n 1:{n_max} (all integers)", csv_writer)
-    cosh_sq = pants1_arc_cosh(np.arange(1, n_max + 1, dtype=np.float64))
+    cosh_sq = pants1_arc_excess(np.arange(1, n_max + 1, dtype=np.float64))
+    cosh_sq += 1.0
     cosh_sq *= cosh_sq
     report.check("sup_attained_at_n1", (1,), 1e-9,
                  abs(float(cosh_sq[0]) - 4.0 * COTH1_SQ))
@@ -386,12 +387,16 @@ def run_metric_axioms(grid: GridSpec | None = None,
 def run_distance_oracle(grid: GridSpec | None = None,
                         csv_writer=None) -> VerificationReport:
     """Cross-ratio route against the cosh route on seeded random point
-    pairs with heights spread over six decades."""
+    pairs with heights spread over six decades, then on a tenth as many
+    near-coincident pairs with heights spread over sixteen decades."""
     pairs = grid.steps if grid is not None else 10 ** 4
+    near = pairs // 10
     rng = np.random.default_rng(DISTANCE_SEED)
     report = VerificationReport(
         "distance-oracle", f"{pairs} random pairs, x in [-5,5], y "
-        f"log-uniform [1e-3,1e3], seed {DISTANCE_SEED}", csv_writer)
+        f"log-uniform [1e-3,1e3]; {near} near-coincident pairs, y "
+        f"log-uniform [1e-8,1e8], x/y in [-5,5], |z-w|/y log-uniform "
+        f"[1e-12,1e-4]; seed {DISTANCE_SEED}", csv_writer)
     # slabs of the stream in the order of the scalar draws x_z,
     # log10 y_z, x_w, log10 y_w per pair; lo + (hi - lo) * u is
     # Generator.uniform's own arithmetic
@@ -399,17 +404,36 @@ def run_distance_oracle(grid: GridSpec | None = None,
     hi = np.array([5.0, 3.0, 5.0, 3.0])
     for start in range(0, pairs, ORACLE_SLAB):
         u = rng.random((min(ORACLE_SLAB, pairs - start), 4))
-        inputs, rel = [], []
-        for zx, zv, wx, wv in (lo + (hi - lo) * u).tolist():
-            # a Python power: np.power differs in the last bits
-            z = hyp.hp(zx, 10.0 ** zv)
-            w = hyp.hp(wx, 10.0 ** wv)
-            d1 = hyp.hyp_distance(z, w)
-            d2 = hyp.hyp_distance_crossratio(z, w)
-            inputs.append((z.x, z.y, w.x, w.y))
-            rel.append((abs(d1 - d2) / d1,))
-        report.check_many(("crossratio_vs_cosh_rel",), inputs, 1e-10, rel)
+        # a Python power: np.power differs in the last bits
+        _check_oracle(report, [(zx, 10.0 ** zv, wx, 10.0 ** wv)
+                               for zx, zv, wx, wv
+                               in (lo + (hi - lo) * u).tolist()])
+    # near-coincident: z = y (x/y + i), w = z + y s e^(i phi)
+    lo = np.array([-5.0, -8.0, -12.0, 0.0])
+    hi = np.array([5.0, 8.0, -4.0, 2.0 * math.pi])
+    for start in range(0, near, ORACLE_SLAB):
+        u = rng.random((min(ORACLE_SLAB, near - start), 4))
+        points = []
+        for ratio, v, t, phi in (lo + (hi - lo) * u).tolist():
+            y = 10.0 ** v
+            r = y * 10.0 ** t
+            points.append((ratio * y, y, ratio * y + r * math.cos(phi),
+                           y + r * math.sin(phi)))
+        _check_oracle(report, points)
     return report
+
+
+def _check_oracle(report, points):
+    """One check_many of the relative gap between the two distance
+    routes on the point pairs (zx, zy, wx, wy)."""
+    inputs, rel = [], []
+    for zx, zy, wx, wy in points:
+        z, w = hyp.hp(zx, zy), hyp.hp(wx, wy)
+        d1 = hyp.hyp_distance(z, w)
+        d2 = hyp.hyp_distance_crossratio(z, w)
+        inputs.append((z.x, z.y, w.x, w.y))
+        rel.append((abs(d1 - d2) / d1,))
+    report.check_many(("crossratio_vs_cosh_rel",), inputs, 1e-10, rel)
 
 
 SUITES = {

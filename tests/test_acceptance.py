@@ -149,7 +149,7 @@ def test_criterion_11_distance_oracle():
     with _Timer(2.0) as t:
         res = run_distance_oracle()
         assert res.passed, res.failures[:3]
-        assert res.total == 10 ** 4
+        assert res.total == 10 ** 4 + 10 ** 3
     _report(11, "cross-ratio and cosh distance agree to 1e-10", t)
 
 

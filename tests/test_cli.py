@@ -48,6 +48,17 @@ class TestEval:
         assert (code, err) == (0, "")
         assert float(out) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("theta", "5e-324"), "4.94065645841247e-324"),
+        (("cyl-interval", "5e-324"), "9.88131291682493e-324"),
+        (("hexagon-sides", "5e-324", "1", "1"),
+         "1.54387366581061 746.098707751413 746.098707751413"),
+        (("arc81", "40"), "cosh_sq=1 l=5.12076290455842e-09 "
+         "cap3=5.17218498289893 cap4=6.89624664386524")])
+    def test_values_that_used_to_round_away(self, capsys, argv, expected):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, err, out.strip()) == (0, "", expected)
+
     def test_distance_heights_too_far_apart(self, capsys):
         code, out, err = run(capsys, "eval", "dist", "0", "1", "0", "1e-320")
         assert (code, out) == (3, "")
@@ -346,6 +357,18 @@ class TestVerify:
         assert code == 0
         assert "status PASS" in out
         assert "failures 0" in out
+
+    def test_chain_step_stays_positive_at_large_lengths(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "collar.csv"
+        code, out, _ = run(capsys, "verify", "collar", "--grid", "20:60:5",
+                           "--csv", str(path))
+        assert code == 0
+        assert "min_slack 9.357622968839299e-14\n" in out
+        with path.open() as fh:
+            rows = [r for r in csv.reader(fh) if r[0].startswith("chainstep")]
+        assert len(rows) == 5
+        assert all(float(r[2]) > 0.0 for r in rows)
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nope")

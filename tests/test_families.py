@@ -5,7 +5,7 @@ import pytest
 
 from fnteich.errors import DomainError, UsageError
 from fnteich.families import (format_pants_graph, make_fn_pair,
-                              pants1_arc_cosh, pants1_arc_length,
+                              pants1_arc_excess, pants1_arc_length,
                               pants1_graph)
 from fnteich.fnspace import (fn_distance, fn_distance_variant,
                              is_upper_bounded, validate_pants_graph)
@@ -45,9 +45,11 @@ class TestArcLength:
         assert res.length == 0.0
 
     def test_one_arc_for_suite_library_and_graph(self):
-        # the example81 suite squares the kernel column in place; the
-        # scalar function and the re-cut lengths must be the same values
-        col = pants1_arc_cosh(np.arange(1, 101, dtype=np.float64))
+        # the example81 suite adds 1 to the kernel column and squares it
+        # in place; the scalar function and the re-cut lengths must be
+        # the same values
+        col = pants1_arc_excess(np.arange(1, 101, dtype=np.float64))
+        col += 1.0
         col *= col
         arcs = [pants1_arc_length(n) for n in range(1, 101)]
         assert col.tolist() == [a.cosh_sq for a in arcs]

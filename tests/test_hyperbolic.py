@@ -11,7 +11,7 @@ from fnteich.errors import DomainError, UsageError
 from fnteich.hyperbolic import (HalfPlanePoint, HexagonAlternatingSides,
                                 PantsBoundaryLengths, PantsLengthGrid,
                                 angle_of_distance,
-                                arcosh, collar_data, collar_halfwidth,
+                                arcosh1p, collar_data, collar_halfwidth,
                                 collar_margin, halfseam_intermediate_bound,
                                 hexagon_altitude, hexagon_sides, hp,
                                 hyp_distance, hyp_distance_crossratio,
@@ -97,6 +97,8 @@ class TestDistance:
         (hp(0.0, 1e-310), hp(1e-310, 1e-310)),     # subnormal heights
         (hp(0.0, 1e200), hp(-3e200, 2e200)),       # 2 y y' overflows
         (hp(1e300, 1e-200), hp(1e300, 3e-200)),
+        # normal heights whose separation |z - w| is subnormal
+        (hp(3e-301, 1e-300), hp(3e-301 + 3e-312, 1e-300 + 4e-312)),
     ])
     def test_extreme_heights_against_mpmath(self, z, w):
         with mpmath.workdps(50):
@@ -105,6 +107,9 @@ class TestDistance:
                                  / (2 * mpmath.mpf(z.y) * mpmath.mpf(w.y)))
         assert hyp_distance(z, w) == pytest.approx(float(exact), rel=1e-15)
         assert hyp_distance(w, z) == hyp_distance(z, w)
+        for a, b in ((z, w), (w, z)):
+            d = hyp_distance_crossratio(a, b)
+            assert abs(d - exact) <= 1e-15 * exact
 
     def test_heights_beyond_double_range_rejected(self):
         with pytest.raises(DomainError,
@@ -115,6 +120,11 @@ class TestDistance:
 class TestAngleOfDistance:
     def test_small_d_limit(self):
         assert angle_of_distance(1e-12) < 1e-9
+
+    @pytest.mark.parametrize("d", [5e-324, 1e-310, 2.2250738585072014e-308])
+    def test_subnormal_d_is_its_own_angle(self, d):
+        # theta(d) = d - d^3/12 + ..., and d / 2 would lose bits
+        assert angle_of_distance(d) == d
 
     def test_log3(self):
         assert angle_of_distance(math.log(3.0)) == pytest.approx(
@@ -230,6 +240,20 @@ class TestHexagon:
         for got, want in zip(back, a):
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [(5e-324, 1.0, 1.0), (1e-310, 2.0, 0.5),
+                                   (5e-324, 5e-324, 3.0), (1e-160, 1.0, 1.0)])
+    def test_tiny_side_against_mpmath(self, a):
+        # the seam excess, or its square, overflows; its log is a double
+        with mpmath.workdps(50):
+            x = [mpmath.mpf(v) for v in a]
+            exact = [mpmath.acosh(
+                (mpmath.cosh(x[i]) + mpmath.cosh(x[j]) * mpmath.cosh(x[k]))
+                / (mpmath.sinh(x[j]) * mpmath.sinh(x[k])))
+                for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+        for got, want in zip(hexagon_sides(HexagonAlternatingSides(*a)),
+                             exact):
+            assert abs(got - want) <= 1e-15 * want
+
     def test_domain(self):
         with pytest.raises(DomainError):
             HexagonAlternatingSides(0.0, 1.0, 1.0)
@@ -260,13 +284,14 @@ class TestAltitude:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     def test_cusp_limit_matches_returning_arc(self, n):
-        # altitude formula with cosh a1 -> 1 (cusp) at full side lengths
-        # (n, 1) reproduces the chained-pants arc formula
+        # the altitude h2 with cosh a1 -> 1 (cusp) at full side lengths
+        # (n, 1), sinh^2 h2 = (cosh^2 1 + 1 + 2 cosh n cosh 1) / sinh^2 n,
+        # reproduces the chained-pants arc formula
         ch2, ch3 = math.cosh(float(n)), math.cosh(1.0)
-        num = -1.0 + 1.0 + ch2 * ch2 + ch3 * ch3 + 2.0 * ch2 * ch3
-        cusp_altitude = arcosh(math.sqrt(num) / math.sinh(float(n)))
+        cusp_altitude = math.asinh(math.sqrt(ch3 * ch3 + 1.0 + 2.0 * ch2 * ch3)
+                                   / math.sinh(float(n)))
         assert cusp_altitude == pytest.approx(pants1_arc_length(n).length,
-                                              rel=1e-12)
+                                              rel=1e-14)
 
 
 class TestPantsCollar:
@@ -346,17 +371,16 @@ class TestPantsCollar:
         assert rep.skipped == 3
 
 
-class TestArcosh:
-    def test_near_one(self):
-        assert arcosh(1.0) == 0.0
-        assert arcosh(1.0 + 1e-13) == pytest.approx(
-            math.sqrt(2e-13), rel=1e-3)
+class TestArcosh1p:
+    def test_tiny_excess(self):
+        # arcosh(1 + u) = sqrt(2u) (1 - u/12 + ...)
+        for u in (0.0, 5e-324, 1e-300, 1e-13):
+            assert arcosh1p(u) == pytest.approx(math.sqrt(2.0 * u),
+                                                rel=1e-12, abs=0.0)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            arcosh(0.5)
-
-    @given(x=st.floats(min_value=1.0, max_value=1e8))
-    def test_matches_library(self, x):
-        assert arcosh(x) == pytest.approx(math.acosh(x), rel=1e-14,
-                                          abs=1e-16)
+    @given(u=st.floats(min_value=0.0, max_value=1e150))
+    def test_against_mpmath(self, u):
+        # arcosh(1 + u) = 2 asinh(sqrt(u / 2)) needs no 1 + u
+        with mpmath.workdps(50):
+            exact = 2 * mpmath.asinh(mpmath.sqrt(mpmath.mpf(u) / 2))
+        assert abs(arcosh1p(u) - exact) <= 1e-15 * exact
