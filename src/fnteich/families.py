@@ -19,7 +19,6 @@ cosh(arc(n)) = coth(n) + cosh(1)/sinh(n) decreases to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +57,14 @@ def pants1_arc_excess(n: np.ndarray) -> np.ndarray:
     return excess
 
 
+def _arc_length(n, excess) -> float:
+    """arcosh(1 + excess) at n; past n = 700, where e^-n turns
+    subnormal, its asymptotic form 2 sqrt(cosh 1) e^(-n/2)."""
+    if n > 700:
+        return 2.0 * math.sqrt(math.cosh(1.0)) * math.exp(-n / 2.0)
+    return arcosh1p(excess)
+
+
 def pants1_arc_length(n: int) -> ArcLengthResult:
     """Shortest arc from the length-n boundary of the (cusp, 1, n) pants
     to itself, passing between the cusp and the length-1 boundary:
@@ -70,7 +77,7 @@ def pants1_arc_length(n: int) -> ArcLengthResult:
         raise DomainError(f"n must be an integer >= 1, got {n}")
     excess = float(pants1_arc_excess(np.array([n], dtype=np.float64))[0])
     base = 1.0 + excess
-    return ArcLengthResult(cosh_sq=base * base, length=arcosh1p(excess),
+    return ArcLengthResult(cosh_sq=base * base, length=_arc_length(n, excess),
                            bound_3coth=3.0 * COTH1_SQ,
                            bound_4coth=4.0 * COTH1_SQ)
 
@@ -91,8 +98,7 @@ def make_fn_pair(kind: str, n: int, window: int
             StructureWindow.from_generator(gy, window))
 
 
-@dataclass(frozen=True)
-class ChainedPantsModel:
+class ChainedPantsModel(NamedTuple):
     """Truncation to blocks 1..n_max of the chained-pants surface, with
     both decompositions.
 
@@ -161,7 +167,7 @@ def pants1_graph(n_max: int) -> ChainedPantsModel:
     excess = pants1_arc_excess(np.arange(1, n_max + 1, dtype=np.float64))
     for n, u in enumerate(excess.tolist(), start=1):
         original.append((f"glue{n}", float(n)))
-        recut.append((f"cut{n}", arcosh1p(u)))
+        recut.append((f"cut{n}", _arc_length(n, u)))
     for k in range(0, n_max + 1):
         original.append((f"link{k}", 1.0))
         recut.append((f"link{k}", 1.0))

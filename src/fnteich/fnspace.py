@@ -20,14 +20,13 @@ File formats (version-tagged first line):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, FormatError, UsageError
-from .reports import VerificationReport
+from .reports import Validated, VerificationReport
 
 FULL_TWIST = 2.0 * math.pi
 
@@ -43,27 +42,26 @@ _OVERRIDE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class FNCoordinate:
+class FNCoordinate(Validated, namedtuple("FNCoordinate", "length twist")):
     """Per-curve coordinates: geodesic length and, for interior curves
     only, the twist angle."""
 
-    length: float
-    twist: float | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise DomainError(f"curve length must be > 0, got {self.length}")
-        if self.twist is not None and not math.isfinite(self.twist):
-            raise DomainError(f"twist must be finite, got {self.twist}")
+    def __new__(cls, length, twist):
+        if not (math.isfinite(length) and length > 0.0):
+            raise DomainError(f"curve length must be > 0, got {length}")
+        if twist is not None and not math.isfinite(twist):
+            raise DomainError(f"twist must be finite, got {twist}")
+        return tuple.__new__(cls, (length, twist))
 
     @property
     def is_boundary(self) -> bool:
         return self.twist is None
 
 
-@dataclass(frozen=True)
-class StructureGenerator:
+class StructureGenerator(Validated, namedtuple(
+        "StructureGenerator", "kind n length twist tail overrides")):
     """Closed-form rule producing the coordinate of every index, held as
     data: a `tail` coordinate repeated at every index, and a sorted
     `overrides` tuple of (index, FNCoordinate) that replace it.
@@ -71,33 +69,27 @@ class StructureGenerator:
     Kinds: `constant` repeats (length, twist); the built-in families
     `ex_fn1_x` / `ex_fn1_y` (unit lengths except 1/n at index n; twists 0,
     resp. a full twist at index n) and `ex_fn2_x` / `ex_fn2_y` (all twists
-    0; length 1/n resp. 1/n^2 at index n, 1 elsewhere).  Both fields are
-    computed once, from the kind's rule in `_OVERRIDE_RULES`.
+    0; length 1/n resp. 1/n^2 at index n, 1 elsewhere).  Both derived
+    fields are computed once, from the kind's rule in `_OVERRIDE_RULES`.
     """
 
-    kind: str
-    n: int | None = None
-    length: float = 1.0
-    twist: float | None = 0.0
-    tail: FNCoordinate = field(init=False, repr=False)
-    overrides: tuple[tuple[int, FNCoordinate], ...] = field(init=False,
-                                                            repr=False)
+    __slots__ = ()
+    _derived = ("tail", "overrides")
 
-    def __post_init__(self):
-        if self.kind not in _OVERRIDE_RULES:
-            raise UsageError(f"unknown generator kind {self.kind!r}; "
+    def __new__(cls, kind, n=None, length=1.0, twist=0.0):
+        if kind not in _OVERRIDE_RULES:
+            raise UsageError(f"unknown generator kind {kind!r}; "
                              f"expected one of {tuple(_OVERRIDE_RULES)}")
-        rule = _OVERRIDE_RULES[self.kind]
+        rule = _OVERRIDE_RULES[kind]
         if rule is None:
-            tail, overrides = FNCoordinate(self.length, self.twist), {}
-        elif isinstance(self.n, int) and self.n >= 1:
-            tail, overrides = FNCoordinate(1.0, 0.0), rule(self.n)
+            tail, overrides = FNCoordinate(length, twist), {}
+        elif isinstance(n, int) and n >= 1:
+            tail, overrides = FNCoordinate(1.0, 0.0), rule(n)
         else:
-            raise UsageError(f"generator {self.kind} needs an integer "
-                             f"n >= 1, got {self.n}")
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "overrides", tuple(
-            (i, FNCoordinate(*overrides[i])) for i in sorted(overrides)))
+            raise UsageError(f"generator {kind} needs an integer "
+                             f"n >= 1, got {n}")
+        return tuple.__new__(cls, (kind, n, length, twist, tail, tuple(
+            (i, FNCoordinate(*overrides[i])) for i in sorted(overrides))))
 
     def coordinate(self, index: int) -> FNCoordinate:
         if index < 1:
@@ -134,23 +126,24 @@ class StructureGenerator:
         return f"generator v1 kind={self.kind} n={self.n}"
 
 
-@dataclass(frozen=True, eq=False)
-class StructureWindow:
+class StructureWindow(Validated, namedtuple(
+        "StructureWindow", "lengths twists boundary generator linf")):
     """Coordinates of curves 1..window_size as three read-only numpy
     columns: `lengths`, `twists` (0.0 on boundary curves) and the
     `boundary` mask, with an optional generator recording the infinite
     structure being truncated.  The constructor copies and validates the
-    columns; `coords` is a derived per-curve view."""
+    columns and derives `linf`, the to_linf image; `coords` is a derived
+    per-curve view.  Windows compare and hash by identity, since a
+    tuple comparison of array columns raises."""
 
-    lengths: np.ndarray
-    twists: np.ndarray
-    boundary: np.ndarray
-    generator: StructureGenerator | None = None
+    __slots__ = ()
+    _derived = ("linf",)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.float64)
-        twists = np.array(self.twists, dtype=np.float64)
-        boundary = np.array(self.boundary, dtype=bool)
+    def __new__(cls, lengths, twists, boundary, generator=None):
+        lengths = np.array(lengths, dtype=np.float64)
+        twists = np.array(twists, dtype=np.float64)
+        boundary = np.array(boundary, dtype=bool)
         if not (lengths.ndim == 1 and twists.shape == lengths.shape
                 and boundary.shape == lengths.shape):
             raise UsageError(
@@ -168,10 +161,11 @@ class StructureWindow:
         if not np.isfinite(twists).all():
             bad = ~np.isfinite(twists)
             raise DomainError(f"twist must be finite, got {twists[bad][0]}")
-        for name, column in (("lengths", lengths), ("twists", twists),
-                             ("boundary", boundary)):
+        linf = LinfImage(np.log(lengths), lengths * twists, boundary)
+        for column in (lengths, twists, *linf):
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        return tuple.__new__(cls, (lengths, twists, boundary, generator,
+                                   linf))
 
     @classmethod
     def from_table(cls, coords) -> "StructureWindow":
@@ -199,15 +193,6 @@ class StructureWindow:
     @property
     def window_size(self) -> int:
         return len(self.lengths)
-
-    @cached_property
-    def _linf(self) -> "LinfImage":
-        """The to_linf image, computed once per window."""
-        log_length = np.log(self.lengths)
-        product = self.lengths * self.twists
-        log_length.flags.writeable = False
-        product.flags.writeable = False
-        return LinfImage(log_length, product, self.boundary)
 
     def truncated(self, window: int) -> "StructureWindow":
         if not 1 <= window <= self.window_size:
@@ -239,12 +224,12 @@ def _check_aligned(x: StructureWindow, y: StructureWindow):
         raise UsageError("boundary/interior patterns differ between windows")
 
 
-def _embedded(kind: str, lengths, twists, log_length, length_times_twist):
-    """The two coordinate columns that the metric `kind` compares: the
-    to_linf columns (log length, length * twist) for fn; raw_length and
+def _embedded(kind: str, w: StructureWindow):
+    """The two columns of w that the metric `kind` compares: the to_linf
+    columns (log length, length * twist) for fn; raw_length and
     raw_twist replace one of them by the raw length or the raw twist."""
-    return (lengths if kind == "raw_length" else log_length,
-            twists if kind == "raw_twist" else length_times_twist)
+    return (w.lengths if kind == "raw_length" else w.linf.log_length,
+            w.twists if kind == "raw_twist" else w.linf.length_times_twist)
 
 
 def _sup_terms(ex, ey) -> np.ndarray:
@@ -260,8 +245,7 @@ def _terms(x: StructureWindow, y: StructureWindow, kind: str) -> np.ndarray:
     """Per-curve terms of the metric `kind` on aligned windows.  The fn
     terms are the sup-norm terms of the to_linf images, so the
     embedding identity holds exactly."""
-    return _sup_terms(*(_embedded(kind, w.lengths, w.twists, *to_linf(w)[:2])
-                        for w in (x, y)))
+    return _sup_terms(_embedded(kind, x), _embedded(kind, y))
 
 
 def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
@@ -272,11 +256,10 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     if (gx is None or gy is None
             or max(gx.settle_index(), gy.settle_index()) > x.window_size):
         return "window-truncated"
-    # the term past the settle index, from two-entry (x, y) tail columns
-    # through the same numpy log and product as the window columns, so a
-    # tail term that ties the window supremum compares equal to it
-    lengths, twists, _ = (np.array(c) for c in _columns([gx.tail, gy.tail]))
-    u, v = _embedded(kind, lengths, twists, np.log(lengths), lengths * twists)
+    # the term past the settle index, from a window of the two tails: its
+    # columns go through the windows' numpy log and product, so a tail
+    # term that ties the window supremum compares equal to it
+    u, v = _embedded(kind, StructureWindow.from_table([gx.tail, gy.tail]))
     tail = _sup_terms((u[:1], v[:1]), (u[1:], v[1:]))[0]
     return "exact" if tail <= window_sup else "window-truncated"
 
@@ -355,7 +338,7 @@ def to_linf(x: StructureWindow) -> LinfImage:
     curves.  The image is computed once per window, and fn_distance
     reads the same columns, so the sup-norm distance of two embedded
     windows equals fn_distance by construction."""
-    return x._linf
+    return x.linf
 
 
 def supnorm_distance(ex: LinfImage, ey: LinfImage) -> float:
@@ -415,26 +398,21 @@ def wolpert_check(lx: float, ly: float, k: float) -> WolpertResult:
 CUSP = None   # slot marker for a puncture
 
 
-@dataclass(frozen=True)
-class PantsGraph:
+class PantsGraph(Validated, namedtuple("PantsGraph",
+                                       "pants boundary_curves")):
     """Combinatorial pants decomposition: each pants node has exactly
     three slots, each slot holding a curve id or the cusp marker (None).
-    Interior curves occupy two slots, boundary curves one."""
+    Interior curves occupy two slots, boundary curves one; without
+    `boundary_curves` the curves of one slot are the boundary."""
 
-    pants: tuple[tuple, ...]
-    boundary_curves: frozenset = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pants",
-                           tuple(tuple(p) for p in self.pants))
-        if self.boundary_curves is None:
-            object.__setattr__(
-                self, "boundary_curves",
-                frozenset(c for c, occurrences in self.curve_slots().items()
-                          if len(occurrences) == 1))
-        else:
-            object.__setattr__(self, "boundary_curves",
-                               frozenset(self.boundary_curves))
+    def __new__(cls, pants, boundary_curves=None):
+        pants = tuple(tuple(p) for p in pants)
+        if boundary_curves is None:
+            slots = tuple.__new__(cls, (pants, None)).curve_slots()
+            boundary_curves = (c for c, s in slots.items() if len(s) == 1)
+        return tuple.__new__(cls, (pants, frozenset(boundary_curves)))
 
     def curve_slots(self) -> dict:
         """curve id -> tuple of (pants index, slot index) occurrences."""

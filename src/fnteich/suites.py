@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import hyperbolic as hyp
 from . import twist as tw
 from .errors import UsageError
 from .families import COTH1_SQ, pants1_arc_excess
-from .reports import VerificationReport
+from .reports import Validated, VerificationReport
 
 DISTANCE_SEED = 74520231
 METRIC_SEED = 911003
@@ -34,21 +34,19 @@ ORACLE_SLAB = 1000      # point pairs per check_many call
 METRIC_SLAB = 100       # window triples per check_many call
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    steps: int
+class GridSpec(Validated, namedtuple("GridSpec", "lo hi steps")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.lo > 0.0 or self.lo == 0.0):
-            raise UsageError(f"grid lo must be >= 0, got {self.lo}")
-        if not self.hi > self.lo:
-            raise UsageError(f"grid needs hi > lo, got {self.lo}:{self.hi}")
-        if self.hi == math.inf:
-            raise UsageError(f"grid hi must be finite, got {self.hi}")
-        if self.steps < 2:
-            raise UsageError(f"grid needs >= 2 steps, got {self.steps}")
+    def __new__(cls, lo, hi, steps):
+        if not (lo > 0.0 or lo == 0.0):
+            raise UsageError(f"grid lo must be >= 0, got {lo}")
+        if not hi > lo:
+            raise UsageError(f"grid needs hi > lo, got {lo}:{hi}")
+        if hi == math.inf:
+            raise UsageError(f"grid hi must be finite, got {hi}")
+        if steps < 2:
+            raise UsageError(f"grid needs >= 2 steps, got {steps}")
+        return tuple.__new__(cls, (lo, hi, steps))
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -61,10 +59,16 @@ class GridSpec:
             raise UsageError(f"bad grid spec {text!r}: {exc}") from None
 
     def log_points(self) -> list[float]:
+        """Log-spaced points, both ends exact; libm's pow, not a numpy
+        ufunc, so the bits do not depend on the SIMD dispatch."""
         if not self.lo > 0.0:
             raise UsageError("log grid needs lo > 0")
-        return [float(v) for v in
-                np.geomspace(self.lo, self.hi, self.steps)]
+        a, b = math.log10(self.lo), math.log10(self.hi)
+        n = self.steps - 1
+        step = (b - a) / n
+        return ([float(self.lo)]
+                + [10.0 ** (k * step + a) for k in range(1, n)]
+                + [float(self.hi)])
 
     def lin_points(self, open_lo: bool = False) -> list[float]:
         if open_lo:
@@ -172,11 +176,12 @@ def run_twist_lower(grid: GridSpec | None = None,
     ks = []
     for l in lengths:
         angle = hyp.collar_data(l).angle
-        ks += [[cf.affine_dilatation(t / (2.0 * angle)).k] for t in times]
-    report.check_many(("K_constructed>=floor",),
+        ks += [[cf.affine_dilatation(tw.shear_coefficient(t, angle)).k]
+               for t in times]
+    report.check_many((tw.TWIST_LOWER_CHECK,),
                       list(itertools.product(lengths, times)), ks,
                       [[floor] for _ in lengths for floor in floors],
-                      tol=1e-10)
+                      tol=tw.TWIST_LOWER_TOL)
     return report
 
 
@@ -375,7 +380,7 @@ def run_metric_axioms(grid: GridSpec | None = None,
             np.column_stack((zero, zero, zero, dxy + dyz)),
             np.column_stack((abs(dxy - sup), abs(dxy - dyx), dxx, dxz)),
             tol=(0.0, 0.0, 0.0, 1e-12))
-    axis = [float(v) for v in np.geomspace(0.1, 10.0, 7)]
+    axis = GridSpec(0.1, 10.0, 7).log_points()
     inputs = list(itertools.product(axis, axis, (1.0, 1.22, 1.5, 2.0, 4.0)))
     agree = [[1.0 if fns.wolpert_check(lx, ly, k).passed
               == (abs(math.log(lx) - math.log(ly)) <= math.log(k))

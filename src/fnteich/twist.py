@@ -30,6 +30,15 @@ from .hyperbolic import (HalfPlanePoint, collar_data, collar_margin,
 from .reports import BoundReport, Validated, VerificationReport
 
 
+# the twist lower bound check of the library and the twist-lower suite
+TWIST_LOWER_CHECK, TWIST_LOWER_TOL = "K_constructed>=floor", 1e-10
+
+
+def shear_coefficient(t: float, angle: float) -> float:
+    """c = |t| / (2 theta_alpha), theta_alpha the collar angle."""
+    return abs(t) / (2.0 * angle)
+
+
 class TwistScenario(Validated, namedtuple(
         "TwistScenario", "curve_length twist_time collar")):
     """A single twist: curve length, signed hyperbolic displacement, and
@@ -54,7 +63,7 @@ class TwistScenario(Validated, namedtuple(
 
     @property
     def shear_coefficient(self) -> float:
-        return abs(self.twist_time) / (2.0 * self.collar.angle)
+        return shear_coefficient(self.twist_time, self.collar.angle)
 
 
 def twist_sector(s: TwistScenario, argz: float) -> str:
@@ -109,9 +118,8 @@ def twist_lower_bound_check(s: TwistScenario) -> VerificationReport:
     constructed = twist_dilatation(s).k
     floor = twist_min_dilatation(s.twist_time)
     report = VerificationReport("twist dilatation floor")
-    report.check("K_constructed>=dilatation_floor",
-                 (s.curve_length, s.twist_time), constructed, floor,
-                 tol=1e-10)
+    report.check(TWIST_LOWER_CHECK, (s.curve_length, s.twist_time),
+                 constructed, floor, tol=TWIST_LOWER_TOL)
     return report
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fnteich.cli import EVAL_FUNCTIONS, main
+from fnteich.suites import GridSpec
 
 
 def run(capsys, *argv):
@@ -515,15 +516,20 @@ EVAL_ARGS = {
     "seam-angle": ["0.5"], "arc81": ["nan"]}
 
 
-def run_fresh(*argvs):
+def run_child(code, arg, **env):
+    """Run `python -c code arg` on this checkout's src with the extra
+    environment variables env; returns the JSON it prints."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", FRESH_CHILD,
-                           json.dumps(argvs)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, arg], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def run_fresh(*argvs):
+    return run_child(FRESH_CHILD, json.dumps(argvs))
 
 
 class TestColdImports:
@@ -549,6 +555,15 @@ class TestColdImports:
             assert (code, err == "") == ((2, False) if argv[1] == "arc81"
                                          else (0, True)), argv
 
+    def test_array_commands_never_load_dataclasses(self, tmp_path):
+        x, y = (str(tmp_path / f"fn1_n4_w4_{s}.fnstruct") for s in "xy")
+        results = run_fresh(["example", "fn1", "4", "--out", str(tmp_path)],
+                            ["dist", x, y], ["embed", x], ["verify", "mu"])
+        assert [code for code, *_ in results] == [0] * 4
+        loaded = results[-1][3]
+        assert {"fnteich.fnspace", "fnteich.suites"} <= set(loaded)
+        assert "dataclasses" not in loaded
+
     @pytest.mark.parametrize("argv,modules", [
         (["eval", "B", "2"], ["hyperbolic", "reports"]),
         (["eval", "h", "0"], ["conformal", "hyperbolic", "reports"]),
@@ -571,3 +586,24 @@ class TestColdImports:
                                                          abs=1e-12)
         assert lines["exactness"] == "exact"
         assert lines["attained_index"] == "4"
+
+
+# numpy's AVX-512 loops for exp, log and power may differ from libm in the
+# last bit; this variable switches them off for one process, and on a CPU
+# without AVX-512 it changes nothing
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+# the default log grids of collar, hexagon, twist-lower, angle and sandwich
+DEFAULT_LOG_GRIDS = ((0.05, 10.0, 20), (0.05, 10.0, 15), (0.1, 5.0, 50),
+                     (0.1, 20.0, 40), (0.5, 5.0, 10))
+LOG_POINTS_CHILD = """
+import json, sys
+from fnteich.suites import GridSpec
+print(json.dumps([GridSpec(*g).log_points() for g in json.loads(sys.argv[1])]))
+"""
+
+
+def test_log_grids_do_not_depend_on_simd_dispatch():
+    points = run_child(LOG_POINTS_CHILD, json.dumps(DEFAULT_LOG_GRIDS),
+                       **NO_AVX512)
+    assert points == [GridSpec(*g).log_points() for g in DEFAULT_LOG_GRIDS]
+    assert repr(points[0][1]) == "0.0660810364716802"

@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -48,11 +50,31 @@ class TestWindowColumns:
         w = StructureWindow([1.0, 2.0], [0.5, math.nan], [False, True])
         assert w.twists.tolist() == [0.5, 0.0]
 
-    @pytest.mark.parametrize("column", ["lengths", "twists", "boundary"])
+    @pytest.mark.parametrize("column", ["lengths", "twists", "boundary",
+                                        "linf.log_length",
+                                        "linf.length_times_twist"])
     def test_columns_read_only(self, column):
         w = window_from([(1.0, 0.5), (2.0, None)])
         with pytest.raises(ValueError):
-            getattr(w, column)[0] = 1
+            operator.attrgetter(column)(w)[0] = 1
+
+    def test_compared_and_hashed_by_identity(self):
+        w = window_from([(1.0, 0.5), (2.0, None)])
+        twin = window_from([(1.0, 0.5), (2.0, None)])
+        assert w == w and w != twin and not w == twin
+        assert len({w, twin, w}) == 2
+
+    def test_linf_derived_on_every_path(self):
+        w = window_from([(1.0, 0.5), (2.0, None)])
+        with pytest.raises(ValueError, match="derived"):
+            w._replace(linf=None)
+        moved = w._replace(lengths=[4.0, 8.0])
+        assert moved.linf.log_length.tolist() == [math.log(4.0),
+                                                  math.log(8.0)]
+        assert moved.linf.length_times_twist.tolist() == [2.0, 0.0]
+        back = pickle.loads(pickle.dumps(w))
+        assert back.linf.log_length.tolist() == w.linf.log_length.tolist()
+        assert not back.linf.log_length.flags.writeable
 
     def test_constructor_copies(self):
         lengths = np.array([1.0, 2.0])

@@ -1,5 +1,4 @@
-"""The validated value types of the scalar layer: namedtuple subclasses
-whose every way in (the constructor, _make, _replace and unpickling)
+"""The validated value types: namedtuple subclasses whose every way in (the constructor, _make, _replace and unpickling)
 validates, and which stay immutable and compare by value."""
 
 import math
@@ -12,10 +11,13 @@ import pytest
 from fnteich.bounds import BoundAssumptions, collar_cylinder_halflength
 from fnteich.conformal import IdealQuadrilateral
 from fnteich.errors import DomainError, UsageError
+from fnteich.fnspace import (CUSP, FNCoordinate, PantsGraph,
+                             StructureGenerator)
 from fnteich.hyperbolic import (CollarData, HalfPlanePoint,
                                 HexagonAlternatingSides,
                                 PantsBoundaryLengths, collar_data, hp)
 from fnteich.reports import BoundReport
+from fnteich.suites import GridSpec
 from fnteich.twist import MultiTwistFamily, SeamAngleInstance, TwistScenario
 
 # type: (constructor keywords, (field, bad value, error, message),
@@ -75,6 +77,21 @@ CASES = {
         ("times", (1.0,), UsageError, "2 lengths vs 1 times"),
         "MultiTwistFamily(lengths=(1.0, 2.0), times=(0.5, -0.5), "
         "cap_length=3.0, cap_time=1.0)"),
+    FNCoordinate: (
+        dict(length=2.0, twist=-0.5),
+        ("length", 0.0, DomainError, "curve length must be > 0, got 0.0"),
+        "FNCoordinate(length=2.0, twist=-0.5)"),
+    StructureGenerator: (
+        dict(kind="ex_fn2_y", n=2, length=1.0, twist=0.0),
+        ("n", 0, UsageError, "generator ex_fn2_y needs an integer n >= 1, "
+                             "got 0"),
+        "StructureGenerator(kind='ex_fn2_y', n=2, length=1.0, twist=0.0, "
+        "tail=FNCoordinate(length=1.0, twist=0.0), "
+        "overrides=((2, FNCoordinate(length=0.25, twist=0.0)),))"),
+    GridSpec: (
+        dict(lo=0.5, hi=2.0, steps=3),
+        ("hi", 0.25, UsageError, "grid needs hi > lo, got 0.5:0.25"),
+        "GridSpec(lo=0.5, hi=2.0, steps=3)"),
 }
 TYPES = list(CASES)
 
@@ -166,7 +183,10 @@ class TestDerivedFields:
         (BoundAssumptions(cap=2.0, bishop_c=1.0), "l_of_cap", 0.25),
         (TwistScenario(1.0, 0.5), "collar", collar_data(2.0)),
         (SeamAngleInstance(0.5, 0.3), "lambda_", 2.0),
-        (SeamAngleInstance(0.5, 0.3), "point_a", hp(1.0, 1.0))])
+        (SeamAngleInstance(0.5, 0.3), "point_a", hp(1.0, 1.0)),
+        (StructureGenerator("ex_fn1_x", 2), "tail", FNCoordinate(2.0, 0.0)),
+        (StructureGenerator("constant"), "overrides",
+         ((1, FNCoordinate(2.0, 0.0)),))])
     def test_derived_field_cannot_be_set(self, obj, field, value):
         with pytest.raises(ValueError, match="derived"):
             obj._replace(**{field: value})
@@ -180,6 +200,19 @@ class TestDerivedFields:
         inst = SeamAngleInstance(0.5, 0.3)._replace(c=0.0)
         assert inst.lambda_ == 1.0
         assert inst.point_a == hp(math.sin(0.3), math.cos(0.3))
+        gen = StructureGenerator("constant")._replace(length=2.0)
+        assert (gen.tail, gen.overrides) == (FNCoordinate(2.0, 0.0), ())
+
+    def test_pants_graph_boundary_derived_on_every_path(self):
+        g = PantsGraph([[CUSP, "a", "b"], [CUSP, "a", "c"]])
+        assert g.pants == ((CUSP, "a", "b"), (CUSP, "a", "c"))
+        assert g.boundary_curves == frozenset({"b", "c"})
+        assert PantsGraph._make(g) == g
+        assert PantsGraph._make([g.pants, None]) == g
+        assert g._replace(boundary_curves=["b"]).boundary_curves == {"b"}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert back == g and type(back) is PantsGraph
 
 
 class TestCoercionAndMapping:
