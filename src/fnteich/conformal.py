@@ -76,7 +76,11 @@ def grotzsch_lower_bound(r: float) -> float:
     which grotzsch_modulus strictly exceeds on (0, 1)."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"requires 0 < r < 1, got {r}")
-    return (2.0 / math.pi) * math.log((1.0 + math.sqrt(1.0 - r * r)) ** 2 / r)
+    q = (1.0 + math.sqrt(1.0 - r * r)) ** 2 / r
+    if q == math.inf:   # r below ~2.2e-308: the log term by term
+        return (2.0 / math.pi) * (2.0 * math.log1p(math.sqrt(1.0 - r * r))
+                                  - math.log(r))
+    return (2.0 / math.pi) * math.log(q)
 
 
 def normalized_quad_modulus(x: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
@@ -25,10 +26,37 @@ _MIN_NORMAL = sys.float_info.min
 _LN2 = math.log(2.0)
 
 
-def arcosh1p(u: float) -> float:
-    """arcosh(1 + u) for 0 <= u < 1e154, accurate down to tiny u;
-    inf beyond, where u (u + 2) overflows."""
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+def arcosh1p(u: float, ops=math) -> float:
+    """arcosh(1 + u) for u >= 0, accurate down to tiny u, and
+    ln 2 + log1p(u) past u ~ 1.3e154, where u (u + 2) overflows."""
+    v = u * (u + 2.0)
+    if ops is math and v == math.inf:
+        return _LN2 + math.log1p(u)
+    return ops.log1p(u + ops.sqrt(v))
+
+
+def on_columns(kernel, cols, rows, redo=False):
+    """kernel(cols, ops) as the columns of an array, one row per entry of
+    rows; kernel(x, ops=math) takes scalars, or columns under these ops:
+    numpy's sqrt, which IEEE rounds correctly, and libm's functions mapped
+    over the column, as numpy's own can differ in the last bit under some
+    SIMD dispatches.  Value branches act on scalars only, so kernel(row)
+    recomputes each row where redo holds or a value is not finite."""
+    import numpy as np
+
+    def mapped(f):
+        return lambda *cs: np.fromiter(
+            map(f, *[c.ravel().tolist() for c in cs]), np.float64,
+            cs[0].size).reshape(cs[0].shape)
+    ops = SimpleNamespace(sqrt=np.sqrt, **{
+        f: mapped(getattr(math, f))
+        for f in ("cosh", "sinh", "log1p", "asinh", "hypot")})
+    with np.errstate(all="ignore"):
+        out = np.stack(np.broadcast_arrays(*kernel(cols, ops)),
+                       axis=-1).reshape(len(rows), -1)
+    for i in np.flatnonzero(redo | ~np.isfinite(out).all(axis=1)):
+        out[i] = kernel(rows[i].tolist())
+    return out
 
 
 class HalfPlanePoint(Validated, namedtuple("HalfPlanePoint", "x y")):
@@ -57,44 +85,50 @@ def hp(x: float, y: float) -> HalfPlanePoint:
     return HalfPlanePoint(float(x), float(y))
 
 
-def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
+def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint, ops=math) -> float:
     """Hyperbolic distance, via cosh d = 1 + |z-w|^2 / (2 Im z Im w).
 
     This route has no cancellation near z = w; see
     hyp_distance_crossratio for the independent cross-ratio route.
     Heights whose ratio leaves the double range raise DomainError.
     """
-    dx = z.x - w.x
-    dy = z.y - w.y
-    den = 2.0 * z.y * w.y
-    if not _MIN_NORMAL <= den < math.inf:
+    dx, zy, wy = z[0] - w[0], z[1], w[1]
+    dy = zy - wy
+    den = 2.0 * zy * wy
+    if ops is math and not _MIN_NORMAL <= den < math.inf:
         # z -> 2^k z is an isometry and exact in binary: bring the larger
         # height into [0.5, 1) so that the denominator keeps full precision
-        k = -math.frexp(max(z.y, w.y))[1]
+        k = -math.frexp(max(zy, wy))[1]
         dx, dy = math.ldexp(dx, k), math.ldexp(dy, k)
-        den = 2.0 * math.ldexp(z.y, k) * math.ldexp(w.y, k)
+        zy, wy = math.ldexp(zy, k), math.ldexp(wy, k)
+        den = 2.0 * zy * wy
         if not den >= _MIN_NORMAL:
             raise DomainError(
                 f"hyp_distance: the heights of {tuple(z)} and {tuple(w)} "
                 f"are too far apart for double precision")
-    return arcosh1p((dx * dx + dy * dy) / den)
+    u = (dx * dx + dy * dy) / den
+    if ops is math and u == math.inf:
+        # |z - w|^2 or u overflows; d = log(2u) + O(1/u)
+        return 2.0 * math.log(math.hypot(dx, dy)) - math.log(zy) - math.log(wy)
+    return arcosh1p(u, ops)
 
 
-def hyp_distance_crossratio(z: HalfPlanePoint, w: HalfPlanePoint) -> float:
+def hyp_distance_crossratio(z: HalfPlanePoint, w: HalfPlanePoint,
+                            ops=math) -> float:
     """Hyperbolic distance log((A + B) / (A - B)), the log of the
     ideal-endpoint cross ratio, with B = |z - w| and A = |z - conj w|:
     an independent cross-check of hyp_distance, which never forms A.
     A - B = 4 Im z Im w / (A + B), so nothing cancels near z = w."""
-    dx, zy, wy = z.x - w.x, z.y, w.y
-    b = math.hypot(dx, zy - wy)
-    if 0.0 < b < _MIN_NORMAL:
+    dx, zy, wy = z[0] - w[0], z[1], w[1]
+    b = ops.hypot(dx, zy - wy)
+    if ops is math and 0.0 < b < _MIN_NORMAL:
         # a subnormal |z - w| has lost bits; z -> 2^k z is an isometry
         # and exact in binary, so lift the larger height into [0.5, 1)
         k = -math.frexp(max(zy, wy))[1]
         dx, zy, wy = math.ldexp(dx, k), math.ldexp(zy, k), math.ldexp(wy, k)
         b = math.hypot(dx, zy - wy)
-    a = math.hypot(dx, zy + wy)
-    return math.log1p((b / zy) * ((a + b) / (2.0 * wy)))
+    a = ops.hypot(dx, zy + wy)
+    return ops.log1p((b / zy) * ((a + b) / (2.0 * wy)))
 
 
 def angle_of_distance(d: float) -> float:
@@ -173,17 +207,17 @@ class HexagonAlternatingSides(Validated, namedtuple(
         return tuple.__new__(cls, (a1, a2, a3))
 
 
-def _half_trig(sides):
+def _half_trig(sides, ops=math):
     """(cosh a_i, sinh a_i, cosh(a_j - a_k)) of three hexagon sides,
     (i, j, k) running over the cyclic orders (1, 2, 3), (2, 3, 1) and
     (3, 1, 2)."""
     a1, a2, a3 = sides
-    return ((math.cosh(a1), math.cosh(a2), math.cosh(a3)),
-            (math.sinh(a1), math.sinh(a2), math.sinh(a3)),
-            (math.cosh(a2 - a3), math.cosh(a3 - a1), math.cosh(a1 - a2)))
+    return ((ops.cosh(a1), ops.cosh(a2), ops.cosh(a3)),
+            (ops.sinh(a1), ops.sinh(a2), ops.sinh(a3)),
+            (ops.cosh(a2 - a3), ops.cosh(a3 - a1), ops.cosh(a1 - a2)))
 
 
-def _seam_excesses(ch, sh, cdiff):
+def _seam_excesses(ch, sh, cdiff, ops=math):
     """cosh(b_i) - 1 for the three seams, from the _half_trig values of
     the sides.  The defining law
     cosh a1 = -cosh a2 cosh a3 + sinh a2 sinh a3 cosh b1 is solved as
@@ -193,33 +227,35 @@ def _seam_excesses(ch, sh, cdiff):
     cosh 0 = 1): a seam meeting a degenerate side comes out infinite."""
     (c1, c2, c3), (s1, s2, s3), (d1, d2, d3) = ch, sh, cdiff
     s23, s31, s12 = s2 * s3, s3 * s1, s1 * s2
-    return ((c1 + d1) / s23 if s23 != 0.0 else math.inf,
-            (c2 + d2) / s31 if s31 != 0.0 else math.inf,
-            (c3 + d3) / s12 if s12 != 0.0 else math.inf)
+    if ops is math and 0.0 in (s23, s31, s12):
+        return tuple(n / s if s != 0.0 else math.inf for n, s in
+                     ((c1 + d1, s23), (c2 + d2, s31), (c3 + d3, s12)))
+    return (c1 + d1) / s23, (c2 + d2) / s31, (c3 + d3) / s12
 
 
-def hexagon_sides(a: HexagonAlternatingSides):
+def hexagon_sides(a: HexagonAlternatingSides, ops=math):
     """The other three alternating sides (b1, b2, b3) of the hexagon,
     b_i opposite a_i.  The same formula applied to (b1, b2, b3) recovers
     (a1, a2, a3): the two triples cut out the same hexagon."""
-    ch, sh, cdiff = _half_trig(a)
-    b = [arcosh1p(u) for u in _seam_excesses(ch, sh, cdiff)]
+    ch, sh, cdiff = _half_trig(a, ops)
+    b = [arcosh1p(u, ops) for u in _seam_excesses(ch, sh, cdiff, ops)]
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        if b[i] == math.inf:
-            # at a tiny side u or u (u + 2) overflows, where
+        if ops is math and b[i] == math.inf:
+            # at a tiny side u overflows, where
             # arcosh(1 + u) = log(2u) + O(1/u)
             b[i] = (_LN2 + math.log(ch[i] + cdiff[i])
                     - math.log(sh[j]) - math.log(sh[k]))
     return tuple(b)
 
 
-def _altitudes(ch, sh):
+def _altitudes(ch, sh, ops=math):
     """The altitudes (h1, h2, h3) from the cosh and sinh of the sides:
     sinh^2 h_i = (cosh^2 a_j + cosh^2 a_k + 2 cosh a_1 cosh a_2 cosh a_3)
     / sinh^2 a_i, a sum of positive terms.  Infinite at a cusp (sinh 0)."""
     c1, c2, c3 = ch
     q1, q2, q3, p = c1 * c1, c2 * c2, c3 * c3, 2.0 * c1 * c2 * c3
-    return [math.asinh(math.sqrt(n) / s) if s > 0.0 else math.inf
+    return [ops.asinh(ops.sqrt(n) / s) if ops is not math or s > 0.0
+            else math.inf
             for n, s in zip((q2 + q3 + p, q3 + q1 + p, q1 + q2 + p), sh)]
 
 
@@ -267,12 +303,14 @@ COLLAR_CHECKS = tuple(
     + [f"altitude_h{i}>=B(l{i})"])
 
 
-def _collar_sides(ch, sh, cdiff):
-    """Left sides of the COLLAR_CHECKS of one pair of pants, from the
-    _half_trig values of its half-lengths: b_j / 2 for the seams and
-    h_i for the altitudes (infinite at a cusp)."""
-    b1, b2, b3 = [arcosh1p(u) / 2.0 for u in _seam_excesses(ch, sh, cdiff)]
-    h1, h2, h3 = _altitudes(ch, sh)
+def _collar_sides(l, ops=math):
+    """Left sides of the COLLAR_CHECKS of the pair of pants with
+    boundary lengths l: b_j / 2 for the seams and h_i for the altitudes
+    (infinite at a cusp)."""
+    ch, sh, cdiff = _half_trig([v / 2.0 for v in l], ops)
+    b1, b2, b3 = [arcosh1p(u, ops) / 2.0
+                  for u in _seam_excesses(ch, sh, cdiff, ops)]
+    h1, h2, h3 = _altitudes(ch, sh, ops)
     return (b2, b3, h1, b1, b3, h2, b1, b2, h3)
 
 
@@ -294,7 +332,7 @@ def verify_pants_collar(l: PantsBoundaryLengths | PantsLengthGrid,
     if isinstance(l, PantsLengthGrid):
         _verify_collar_grid(l, report)
         return report
-    sides = _collar_sides(*_half_trig([v / 2.0 for v in l]))
+    sides = _collar_sides(l)
     # check k belongs to boundary k // 3
     live = [k for k in range(9) if l[k // 3] != 0.0]
     for _ in range(9 - len(live)):
@@ -307,40 +345,25 @@ def verify_pants_collar(l: PantsBoundaryLengths | PantsLengthGrid,
 
 
 def _verify_collar_grid(g: PantsLengthGrid, report: VerificationReport):
-    """verify_pants_collar on every pair of pants of g, as one
-    check_many slab per l1.  The hyperbolic functions of the
-    half-lengths, B and the cosh of half-length differences are
-    computed once per axis value or pair of values; the per-pants
-    arithmetic is that of a single pair of pants."""
+    """verify_pants_collar on every pair of pants of g, on columns, with
+    one check_many slab per l1.  Each axis of g lies along its own array
+    axis, so that each function of one or two half-lengths is computed
+    once per axis value or pair of values."""
+    import numpy as np
+
     for axis in g:
         if not all(0.0 < v < math.inf for v in axis):
             raise DomainError(f"grid boundary lengths must be finite and "
                               f"> 0, got {tuple(axis)}")
-
-    def per_value(axis):
-        halves = [v / 2.0 for v in axis]
-        return (halves, [math.cosh(a) for a in halves],
-                [math.sinh(a) for a in halves],
-                [collar_margin(v) for v in axis])
-
-    def cosh_diff(xs, ys):
-        return [[math.cosh(x - y) for y in ys] for x in xs]
-
-    h1, c1, s1, m1 = per_value(g.axis1)
-    h2, c2, s2, m2 = per_value(g.axis2)
-    h3, c3, s3, m3 = per_value(g.axis3)
-    d23, d31, d12 = cosh_diff(h2, h3), cosh_diff(h3, h1), cosh_diff(h1, h2)
-    for p, l1 in enumerate(g.axis1):
-        inputs, lhs, rhs = [], [], []
-        for q, l2 in enumerate(g.axis2):
-            for r, l3 in enumerate(g.axis3):
-                inputs.append((l1, l2, l3))
-                lhs.append(_collar_sides((c1[p], c2[q], c3[r]),
-                                         (s1[p], s2[q], s3[r]),
-                                         (d23[q][r], d31[r][p], d12[p][q])))
-                rhs.append((m1[p],) * 3 + (m2[q],) * 3 + (m3[r],) * 3)
-        report.check_many(COLLAR_CHECKS, inputs, lhs, rhs,
-                          tol=COLLAR_SLACK_TOL)
+    ls = np.ix_(*g)
+    margins = np.ix_(*[[collar_margin(v) for v in axis] for axis in g])
+    cells = np.stack(np.broadcast_arrays(*ls, *margins), -1).reshape(-1, 6)
+    lhs = on_columns(_collar_sides, ls, cells[:, :3])
+    rhs = np.repeat(cells[:, 3:], 3, axis=1)
+    n = len(g.axis2) * len(g.axis3)     # slabs of one l1 keep memory low
+    for k in range(0, len(cells), n):
+        report.check_many(COLLAR_CHECKS, cells[k:k + n, :3].tolist(),
+                          lhs[k:k + n], rhs[k:k + n], tol=COLLAR_SLACK_TOL)
 
 
 def halfseam_intermediate_bound(l: float) -> tuple[float, float]:

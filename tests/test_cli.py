@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -55,7 +56,12 @@ class TestEval:
         (("hexagon-sides", "5e-324", "1", "1"),
          "1.54387366581061 746.098707751413 746.098707751413"),
         (("arc81", "40"), "cosh_sq=1 l=5.12076290455842e-09 "
-         "cap3=5.17218498289893 cap4=6.89624664386524")])
+         "cap3=5.17218498289893 cap4=6.89624664386524"),
+        # these four overflowed to inf
+        (("dist", "0", "1", "0", "1e300"), "690.775527898214"),
+        (("dist", "0", "1", "1e300", "1"), "1381.55105579643"),
+        (("mu-lb", "1e-310"), "455.302613705856"),
+        (("mu-lb", "5e-324"), "474.807811528506")])
     def test_values_that_used_to_round_away(self, capsys, argv, expected):
         code, out, err = run(capsys, "eval", *argv)
         assert (code, err, out.strip()) == (0, "", expected)
@@ -353,6 +359,14 @@ class TestBounds:
 
 
 class TestVerify:
+    def test_hexagon_rejects_computed_sides_that_round_to_zero(self, capsys):
+        # the seams of three sides from about 356 underflow to 0
+        code, out, err = run(capsys, "verify", "hexagon", "--grid",
+                             "300:700:3")
+        assert (code, out) == (3, "")
+        assert ("hexagon side lengths must be finite and > 0, got "
+                "(0.0, 0.0, 3.326996054616522e-31)") in err
+
     def test_small_collar_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "collar", "--grid", "0.5:2:3")
         assert code == 0
@@ -600,6 +614,34 @@ import json, sys
 from fnteich.suites import GridSpec
 print(json.dumps([GridSpec(*g).log_points() for g in json.loads(sys.argv[1])]))
 """
+
+
+# sha256 of the default-grid --csv of each suite named in argv[1]
+CSV_DIGESTS_CHILD = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+from fnteich.cli import main
+digests = []
+with tempfile.TemporaryDirectory() as tmp:
+    for name in json.loads(sys.argv[1]):
+        path = os.path.join(tmp, name + ".csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", name, "--csv", path]) == 0
+        with open(path, "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_column_suites_do_not_depend_on_simd_dispatch(capsys, tmp_path):
+    names = ["collar", "hexagon", "distance-oracle"]
+    digests = []
+    for name in names:
+        path = tmp_path / f"{name}.csv"
+        code, _, _ = run(capsys, "verify", name, "--csv", str(path))
+        assert code == 0
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert run_child(CSV_DIGESTS_CHILD, json.dumps(names),
+                     **NO_AVX512) == digests
 
 
 def test_log_grids_do_not_depend_on_simd_dispatch():

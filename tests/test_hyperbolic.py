@@ -1,8 +1,10 @@
 import csv
 import io
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,10 @@ from fnteich.hyperbolic import (HalfPlanePoint, HexagonAlternatingSides,
                                 collar_margin, halfseam_intermediate_bound,
                                 hexagon_altitude, hexagon_sides, hp,
                                 hyp_distance, hyp_distance_crossratio,
-                                verify_pants_collar)
+                                on_columns, verify_pants_collar)
 from fnteich.families import pants1_arc_length
 from fnteich.reports import VerificationReport
+from fnteich.suites import _check_oracle
 
 # frozen with a 40-digit arithmetic oracle before implementation
 B_AT_2 = 0.13617073445591577
@@ -110,6 +113,66 @@ class TestDistance:
         for a, b in ((z, w), (w, z)):
             d = hyp_distance_crossratio(a, b)
             assert abs(d - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("z,w", [
+        (hp(0.0, 1.0), hp(0.0, 1e300)),            # dy^2 overflows
+        (hp(0.0, 1.0), hp(1e300, 1.0)),            # dx^2 overflows
+        (hp(-1e200, 1e-100), hp(1e200, 1e-100)),
+        (hp(0.0, 1e-300), hp(1e-100, 1e-300)),     # after the rescale
+        (hp(0.0, 1e-200), hp(0.0, 1e100)),         # u finite, u^2 not
+        (hp(0.0, 1.0), hp(0.0, 1e155)),
+    ])
+    def test_distance_past_the_overflow_of_u(self, z, w):
+        with mpmath.workdps(50):
+            dz = mpmath.mpc(*z) - mpmath.mpc(*w)
+            exact = mpmath.acosh(1 + abs(dz) ** 2
+                                 / (2 * mpmath.mpf(z.y) * mpmath.mpf(w.y)))
+        assert abs(hyp_distance(z, w) - exact) <= 1e-15 * exact
+
+    def test_oracle_columns_match_scalar_loop(self):
+        rng = np.random.default_rng(20261020)
+        n = 6000
+        y = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        r = y * 10.0 ** rng.uniform(-15.0, 0.0, n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        x = y * rng.uniform(-5.0, 5.0, n)
+        points = np.column_stack((x, y, x + r * np.cos(phi),
+                                  y + r * np.sin(phi)))
+        # hyp_distance gives 0 where |z - w|^2 underflows at normal
+        # heights, and the scalar loop below then divides by zero: such
+        # pairs have no scalar reference
+        points = points[[hyp_distance(hp(*p[:2]), hp(*p[2:])) > 0.0
+                         for p in points.tolist()]]
+        points = np.vstack((points, [(0.0, 1.0, 0.0, 1e300),
+                                     (0.0, 1.0, 1e300, 1.0),
+                                     (-1e200, 1e-100, 1e200, 1e-100),
+                                     (0.0, 1e-200, 0.0, 1e100)]))
+
+        def report():
+            buf = io.StringIO()
+            return VerificationReport("t", csv_writer=csv.writer(buf)), buf
+
+        columns, columns_buf = report()
+        _check_oracle(columns, points)
+        loop, loop_buf = report()
+        inputs, rel = [], []
+        for zx, zy, wx, wy in points.tolist():
+            z, w = hp(zx, zy), hp(wx, wy)
+            d1 = hyp_distance(z, w)
+            d2 = hyp_distance_crossratio(z, w)
+            inputs.append((z.x, z.y, w.x, w.y))
+            rel.append((abs(d1 - d2) / d1,))
+        loop.check_many(("crossratio_vs_cosh_rel",), inputs, 1e-10, rel)
+        assert columns.failures == loop.failures
+        assert repr(columns.min_slack) == repr(loop.min_slack)
+        assert columns_buf.getvalue() == loop_buf.getvalue()
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.0), (0.0, -1.0), (math.inf, 1.0),
+                                     (math.nan, 1.0)])
+    def test_oracle_columns_reject_bad_points(self, bad):
+        points = np.array([(0.0, 1.0, 0.5, 2.0), (0.0, 1.0, *bad)])
+        with pytest.raises(DomainError, match="point"):
+            _check_oracle(VerificationReport("t"), points)
 
     def test_heights_beyond_double_range_rejected(self):
         with pytest.raises(DomainError,
@@ -254,6 +317,15 @@ class TestHexagon:
                              exact):
             assert abs(got - want) <= 1e-15 * want
 
+    def test_columns_match_scalar_kernel(self):
+        values = (5e-324, 1e-300, 1e-160, 1e-8, 0.05, 1.0, 10.0, 200.0, 355.0,
+                  700.0)
+        rows = [(a1, a2, a3) for a1 in values for a2 in values
+                for a3 in values]
+        columns = on_columns(hexagon_sides, np.array(rows).T, np.array(rows))
+        assert columns.tolist() == [
+            list(hexagon_sides(HexagonAlternatingSides(*a))) for a in rows]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             HexagonAlternatingSides(0.0, 1.0, 1.0)
@@ -294,6 +366,24 @@ class TestAltitude:
                                               rel=1e-14)
 
 
+def assert_grid_matches_loop_over_pants(axes):
+    def report():
+        buf = io.StringIO()
+        return VerificationReport("t", csv_writer=csv.writer(buf)), buf
+
+    grid, grid_buf = report()
+    verify_pants_collar(PantsLengthGrid(*axes), grid)
+    loop, loop_buf = report()
+    for l1 in axes[0]:
+        for l2 in axes[1]:
+            for l3 in axes[2]:
+                verify_pants_collar(PantsBoundaryLengths(l1, l2, l3), loop)
+    assert grid.total == loop.total == 9 * math.prod(map(len, axes))
+    assert grid.failures == loop.failures
+    assert repr(grid.min_slack) == repr(loop.min_slack)
+    assert grid_buf.getvalue() == loop_buf.getvalue()
+
+
 class TestPantsCollar:
     def test_regular_pants(self):
         rep = verify_pants_collar(PantsBoundaryLengths(1.0, 1.0, 1.0))
@@ -325,22 +415,11 @@ class TestPantsCollar:
         st.floats(min_value=0.01, max_value=30.0), min_size=1, max_size=3),
         min_size=3, max_size=3))
     def test_grid_matches_loop_over_pants(self, axes):
-        def report():
-            buf = io.StringIO()
-            return VerificationReport("t", csv_writer=csv.writer(buf)), buf
+        assert_grid_matches_loop_over_pants(axes)
 
-        grid, grid_buf = report()
-        verify_pants_collar(PantsLengthGrid(*axes), grid)
-        loop, loop_buf = report()
-        for l1 in axes[0]:
-            for l2 in axes[1]:
-                for l3 in axes[2]:
-                    verify_pants_collar(PantsBoundaryLengths(l1, l2, l3),
-                                        loop)
-        assert grid.total == loop.total == 9 * math.prod(map(len, axes))
-        assert grid.failures == loop.failures
-        assert repr(grid.min_slack) == repr(loop.min_slack)
-        assert grid_buf.getvalue() == loop_buf.getvalue()
+    def test_grid_matches_loop_at_extreme_lengths(self):
+        axis = [1e-320, 1e-200, 1e-5, 0.05, 1.0, 50.0, 300.0, 700.0]
+        assert_grid_matches_loop_over_pants([axis, axis, axis])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_grid_rejects_cusps_and_bad_lengths(self, bad):
@@ -377,6 +456,13 @@ class TestArcosh1p:
         for u in (0.0, 5e-324, 1e-300, 1e-13):
             assert arcosh1p(u) == pytest.approx(math.sqrt(2.0 * u),
                                                 rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("u", [1.3e154, 1.35e154, 1e200, 1e300,
+                                   sys.float_info.max])
+    def test_past_the_overflow_of_u_squared(self, u):
+        with mpmath.workdps(50):
+            exact = mpmath.acosh(1 + mpmath.mpf(u))
+        assert abs(arcosh1p(u) - exact) <= 1.2e-16 * exact
 
     @given(u=st.floats(min_value=0.0, max_value=1e150))
     def test_against_mpmath(self, u):
