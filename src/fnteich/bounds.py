@@ -77,8 +77,11 @@ class BoundAssumptions(Validated, namedtuple(
                 f"pants-map constant must be finite and >= 0, got {bishop_c}")
         if d_fn is not None and not d_fn >= 0.0:
             raise DomainError(f"distance must be >= 0, got {d_fn}")
-        return tuple.__new__(cls, (cap, bishop_c,
-                                   collar_cylinder_halflength(cap), d_fn))
+        big_l = collar_cylinder_halflength(cap)
+        if 16.0 * big_l * big_l == 0.0:     # the bounds divide by it
+            raise DomainError(f"length cap {cap} is out of range: L(N) = "
+                              f"{big_l} squares to 0 in double precision")
+        return tuple.__new__(cls, (cap, bishop_c, big_l, d_fn))
 
     def with_distance(self, d: float) -> "BoundAssumptions":
         return BoundAssumptions(self.cap, self.bishop_c, d_fn=d)
@@ -116,6 +119,22 @@ def bishop_length_bound(lengths_a, lengths_b,
         notes=(CYLINDER_LENGTH_NOTE,))
 
 
+# the float cores of the three bounds, on floats or, with ops=numpy, on
+# numpy arrays; only + - * / and sqrt, so both give the same bits
+
+def _twist_upper(d, big_l, ops=math):
+    return (d / big_l) * ops.sqrt(1.0 + d * d / (16.0 * big_l * big_l))
+
+
+def _combined_upper(d, bishop_c, big_l, ops=math):
+    return d * (3.0 * bishop_c
+                + ops.sqrt(1.0 + d * d / (16.0 * big_l * big_l)) / big_l)
+
+
+def _reverse_upper(log_k, bishop_c):
+    return (2.0 + 3.0 * bishop_c) * log_k
+
+
 def twist_change_bound(d: float,
                        assumptions: BoundAssumptions) -> BoundReport:
     """Dilatation bound for equal lengths, twists within coordinate
@@ -123,12 +142,10 @@ def twist_change_bound(d: float,
     log K <= (d / L(N)) sqrt(1 + d^2 / (16 L(N)^2))."""
     if not d >= 0.0:
         raise DomainError(f"distance must be >= 0, got {d}")
-    big_l = assumptions.l_of_cap
-    upper = (d / big_l) * math.sqrt(1.0 + d * d / (16.0 * big_l * big_l))
     return BoundReport(
         quantity="log_dilatation_twist_change",
         lower=None,
-        upper=upper,
+        upper=_twist_upper(d, assumptions.l_of_cap),
         assumptions=assumptions.with_distance(d).as_dict(),
         provenance=("collar shear: log K <= "
                     "(d/L(N))*sqrt(1 + d^2/(16 L(N)^2))"),
@@ -142,13 +159,10 @@ def combined_qc_upper(d: float,
     Dominates each single-route bound at the same d."""
     if not d >= 0.0:
         raise DomainError(f"distance must be >= 0, got {d}")
-    big_l = assumptions.l_of_cap
-    bracket = (3.0 * assumptions.bishop_c
-               + math.sqrt(1.0 + d * d / (16.0 * big_l * big_l)) / big_l)
     return BoundReport(
         quantity="log_dilatation_combined",
         lower=None,
-        upper=d * bracket,
+        upper=_combined_upper(d, assumptions.bishop_c, assumptions.l_of_cap),
         assumptions=assumptions.with_distance(d).as_dict(),
         provenance=("length-change then twist-change composite: log K <= "
                     "d*[3*C(N) + (1/L(N))*sqrt(1 + d^2/(16 L(N)^2))]"),
@@ -164,7 +178,7 @@ def fn_from_qc_upper(log_k: float,
     return BoundReport(
         quantity="coordinate_distance_from_dilatation",
         lower=None,
-        upper=(2.0 + 3.0 * assumptions.bishop_c) * log_k,
+        upper=_reverse_upper(log_k, assumptions.bishop_c),
         assumptions=assumptions.as_dict(),
         provenance=("triangle route through the equal-length structure: "
                     "d <= (2 + 3*C(N))*log K"),

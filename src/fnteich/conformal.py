@@ -213,11 +213,20 @@ def affine_dilatation(a: float) -> AffineDilatation:
     """Quasiconformal data of the shear x + iy -> x + a*y + iy:
     |mu| = |a| / sqrt(4 + a^2) and
     K = 1 + a^2/2 + (|a|/2) sqrt(4 + a^2) = (1 + |mu|)/(1 - |mu|).
-    Even in a; K = 1 iff a = 0."""
+    Even in a; K = 1 iff a = 0.  Past |a| ~ 1.3e154, where a^2
+    overflows, K is not a double and DomainError is raised."""
     if not math.isfinite(a):
         raise DomainError(f"shear coefficient must be finite, got {a}")
-    aa = abs(a)
-    root = math.sqrt(4.0 + a * a)
-    mu = aa / root
-    k = 1.0 + 0.5 * a * a + 0.5 * aa * root
+    k, mu = _affine_k_mu(a)
+    if k == INF:
+        raise DomainError(f"the dilatation of the shear coefficient {a} "
+                          "is out of floating-point range")
     return AffineDilatation(k, mu)
+
+
+def _affine_k_mu(a, ops=math):
+    """(K, |mu|) of affine_dilatation, for a float, or for a numpy array
+    with ops=numpy."""
+    aa = abs(a)
+    root = ops.sqrt(4.0 + a * a)
+    return 1.0 + 0.5 * a * a + 0.5 * aa * root, aa / root

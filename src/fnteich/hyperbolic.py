@@ -106,7 +106,12 @@ def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint, ops=math) -> float:
             raise DomainError(
                 f"hyp_distance: the heights of {tuple(z)} and {tuple(w)} "
                 f"are too far apart for double precision")
-    u = (dx * dx + dy * dy) / den
+    sq = dx * dx + dy * dy
+    if ops is math and sq < _MIN_NORMAL:
+        # |z - w|^2 underflows; sinh(d / 2) = |z - w| / (2 sqrt(y y'))
+        return 2.0 * math.asinh(math.hypot(dx, dy)
+                                / (2.0 * math.sqrt(zy) * math.sqrt(wy)))
+    u = sq / den
     if ops is math and u == math.inf:
         # |z - w|^2 or u overflows; d = log(2u) + O(1/u)
         return 2.0 * math.log(math.hypot(dx, dy)) - math.log(zy) - math.log(wy)
@@ -128,7 +133,11 @@ def hyp_distance_crossratio(z: HalfPlanePoint, w: HalfPlanePoint,
         dx, zy, wy = math.ldexp(dx, k), math.ldexp(zy, k), math.ldexp(wy, k)
         b = math.hypot(dx, zy - wy)
     a = ops.hypot(dx, zy + wy)
-    return ops.log1p((b / zy) * ((a + b) / (2.0 * wy)))
+    v = (b / zy) * ((a + b) / (2.0 * wy))
+    if ops is math and v == math.inf:
+        # past d ~ 710; log1p(v) = log(v) + O(1/v), one factor at a time
+        return math.log(b / zy) + math.log((a + b) / (2.0 * wy))
+    return ops.log1p(v)
 
 
 def angle_of_distance(d: float) -> float:

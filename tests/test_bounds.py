@@ -68,6 +68,15 @@ class TestAssumptions:
     def test_zero_constant_allowed_for_degenerate_checks(self):
         BoundAssumptions(cap=1.0, bishop_c=0.0)
 
+    def test_cap_whose_halflength_squares_to_zero(self):
+        # the bounds divide by 16 L(N)^2, which is 0 in doubles past
+        # N ~ 373.95; they raised ZeroDivisionError there
+        with pytest.raises(DomainError, match="length cap 400.0 is out"):
+            BoundAssumptions(cap=400.0, bishop_c=1.0)
+        a = BoundAssumptions(cap=373.0, bishop_c=1.0)
+        assert combined_qc_upper(0.0, a).upper == 0.0
+        assert twist_change_bound(1.0, a).upper == math.inf
+
 
 class TestBishopLengthBound:
     def test_identical_triples(self):

@@ -36,6 +36,14 @@ class TestEval:
         assert code == 0
         assert out.strip() == "K=4 mu=0.6"
 
+    def test_affine_near_the_overflow(self, capsys):
+        code, out, err = run(capsys, "eval", "affine-k", "1e150")
+        assert (code, err, out.strip()) == (0, "", "K=1e+300 mu=1")
+        # a^2 overflows: K is not a double
+        code, out, err = run(capsys, "eval", "affine-k", "1e155")
+        assert (code, out) == (3, "")
+        assert "shear coefficient 1e+155" in err
+
     def test_distance(self, capsys):
         code, out, _ = run(capsys, "eval", "dist", "0", "1", "0", "2")
         assert code == 0
@@ -61,7 +69,9 @@ class TestEval:
         (("dist", "0", "1", "0", "1e300"), "690.775527898214"),
         (("dist", "0", "1", "1e300", "1"), "1381.55105579643"),
         (("mu-lb", "1e-310"), "455.302613705856"),
-        (("mu-lb", "5e-324"), "474.807811528506")])
+        (("mu-lb", "5e-324"), "474.807811528506"),
+        # this one rounded to 0: |z - w|^2 underflows
+        (("dist", "0", "1", "1e-170", "1"), "1e-170")])
     def test_values_that_used_to_round_away(self, capsys, argv, expected):
         code, out, err = run(capsys, "eval", *argv)
         assert (code, err, out.strip()) == (0, "", expected)
@@ -85,6 +95,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "B", "-1")
         assert code == 3
         assert "l > 0" in err
+
+    def test_bounds_at_a_cap_out_of_range(self, capsys):
+        code, out, err = run(capsys, "bounds", "1", "--cap", "400",
+                             "--bishop-c", "1")
+        assert (code, out) == (3, "")
+        assert "length cap 400.0 is out of range" in err
 
     @pytest.mark.parametrize("argv", [
         ("eval", "seam-angle", "inf"), ("eval", "L", "inf"),
@@ -633,7 +649,8 @@ print(json.dumps(digests))
 
 
 def test_column_suites_do_not_depend_on_simd_dispatch(capsys, tmp_path):
-    names = ["collar", "hexagon", "distance-oracle"]
+    names = ["collar", "hexagon", "distance-oracle", "sandwich",
+             "twist-lower"]
     digests = []
     for name in names:
         path = tmp_path / f"{name}.csv"

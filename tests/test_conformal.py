@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,3 +274,16 @@ class TestAffineDilatation:
             affine_dilatation(math.inf)
         with pytest.raises(DomainError):
             affine_dilatation(math.nan)
+
+    @pytest.mark.parametrize("a", [1.4e154, -1e155, 1e300,
+                                   1.7976931348623157e308])
+    def test_dilatation_out_of_range(self, a):
+        # a^2 overflows, so K is not a double
+        with pytest.raises(DomainError,
+                           match=re.escape(f"shear coefficient {a}")):
+            affine_dilatation(a)
+
+    def test_largest_shears_in_range(self):
+        for a in (1e150, -1.3e154):
+            k, mu = affine_dilatation(a)
+            assert k == pytest.approx(a * a, rel=1e-15) and mu == 1.0

@@ -129,6 +129,33 @@ class TestDistance:
                                  / (2 * mpmath.mpf(z.y) * mpmath.mpf(w.y)))
         assert abs(hyp_distance(z, w) - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize("sep", [1e-160, 1e-170, 1e-300])
+    @pytest.mark.parametrize("y,angle", [(1.0, 0.0), (2.0, 0.6),
+                                         (1e-150, 2.5)])
+    def test_separation_whose_square_underflows(self, sep, y, angle):
+        z = hp(0.0, y)
+        w = hp(sep * math.cos(angle), y + sep * math.sin(angle))
+        with mpmath.workdps(50):
+            # 1 + |z - w|^2 / (2 y y') rounds to 1 even at 50 digits
+            dz = mpmath.mpc(*z) - mpmath.mpc(*w)
+            exact = 2 * mpmath.asinh(
+                abs(dz) / (2 * mpmath.sqrt(mpmath.mpf(z.y) * w.y)))
+        assert exact > 0
+        for a, b in ((z, w), (w, z)):
+            assert abs(hyp_distance(a, b) - exact) <= 1e-15 * exact
+            assert abs(hyp_distance_crossratio(a, b) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("z,w", [
+        (hp(0.0, 1.0), hp(1e300, 1.0)),
+        (hp(-1e200, 1e-100), hp(1e200, 1e-100)),
+        (hp(0.0, 1e-10), hp(1e150, 1e-10)),
+    ])
+    def test_crossratio_past_the_overflow(self, z, w):
+        d = hyp_distance(z, w)
+        assert d > 710.0
+        for a, b in ((z, w), (w, z)):
+            assert abs(hyp_distance_crossratio(a, b) - d) <= 1e-15 * d
+
     def test_oracle_columns_match_scalar_loop(self):
         rng = np.random.default_rng(20261020)
         n = 6000
@@ -138,11 +165,6 @@ class TestDistance:
         x = y * rng.uniform(-5.0, 5.0, n)
         points = np.column_stack((x, y, x + r * np.cos(phi),
                                   y + r * np.sin(phi)))
-        # hyp_distance gives 0 where |z - w|^2 underflows at normal
-        # heights, and the scalar loop below then divides by zero: such
-        # pairs have no scalar reference
-        points = points[[hyp_distance(hp(*p[:2]), hp(*p[2:])) > 0.0
-                         for p in points.tolist()]]
         points = np.vstack((points, [(0.0, 1.0, 0.0, 1e300),
                                      (0.0, 1.0, 1e300, 1.0),
                                      (-1e200, 1e-100, 1e200, 1e-100),
@@ -166,6 +188,8 @@ class TestDistance:
         assert columns.failures == loop.failures
         assert repr(columns.min_slack) == repr(loop.min_slack)
         assert columns_buf.getvalue() == loop_buf.getvalue()
+        # the overflow pairs included: the cross-ratio route stays finite
+        assert columns.failures == []
 
     @pytest.mark.parametrize("bad", [(0.0, 0.0), (0.0, -1.0), (math.inf, 1.0),
                                      (math.nan, 1.0)])
