@@ -45,7 +45,11 @@ def collar_cylinder_halflength(cap: float) -> float:
     Decreasing in the cap and always below pi/2."""
     if not 0.0 < cap < math.inf:
         raise DomainError(f"length cap must be finite and > 0, got {cap}")
-    return angle_of_distance(collar_margin(cap))
+    margin = collar_margin(cap)
+    if margin == 0.0:
+        raise DomainError(f"length cap {cap} is out of range: the collar "
+                          "margin B(N) underflows to 0 in double precision")
+    return angle_of_distance(margin)
 
 
 def cylinder_halflength_report(cap: float) -> CylinderLengthInfo:

@@ -108,9 +108,11 @@ def hyp_distance(z: HalfPlanePoint, w: HalfPlanePoint, ops=math) -> float:
                 f"are too far apart for double precision")
     sq = dx * dx + dy * dy
     if ops is math and sq < _MIN_NORMAL:
-        # |z - w|^2 underflows; sinh(d / 2) = |z - w| / (2 sqrt(y y'))
-        return 2.0 * math.asinh(math.hypot(dx, dy)
-                                / (2.0 * math.sqrt(zy) * math.sqrt(wy)))
+        # |z - w|^2 underflows; sinh(d / 2) = s / 2 with the separation
+        # s = |z - w| / sqrt(y y'), and d = s to double precision where
+        # s / 2 is subnormal and would lose the last bit of s
+        s = math.hypot(dx, dy) / (math.sqrt(zy) * math.sqrt(wy))
+        return s if s < 2.0 * _MIN_NORMAL else 2.0 * math.asinh(s / 2.0)
     u = sq / den
     if ops is math and u == math.inf:
         # |z - w|^2 or u overflows; d = log(2u) + O(1/u)
@@ -126,9 +128,11 @@ def hyp_distance_crossratio(z: HalfPlanePoint, w: HalfPlanePoint,
     A - B = 4 Im z Im w / (A + B), so nothing cancels near z = w."""
     dx, zy, wy = z[0] - w[0], z[1], w[1]
     b = ops.hypot(dx, zy - wy)
-    if ops is math and 0.0 < b < _MIN_NORMAL:
+    if ops is math and 0.0 < b < _MIN_NORMAL and max(zy, wy) < 0.5:
         # a subnormal |z - w| has lost bits; z -> 2^k z is an isometry
-        # and exact in binary, so lift the larger height into [0.5, 1)
+        # and exact in binary, so lift the larger height into [0.5, 1).
+        # Heights >= 0.5 are not lowered: that would halve b, and d = b / y
+        # to double precision there
         k = -math.frexp(max(zy, wy))[1]
         dx, zy, wy = math.ldexp(dx, k), math.ldexp(zy, k), math.ldexp(wy, k)
         b = math.hypot(dx, zy - wy)
@@ -175,6 +179,12 @@ def collar_halfwidth(l: float) -> float:
         raise DomainError(f"collar_halfwidth requires l > 0, got {l}")
     if l < _MIN_NORMAL:     # 1/sinh(l/2) overflows; omega = log(4/l) + O(l^2)
         return 2.0 * _LN2 - math.log(l)
+    if l > 1420.0:  # sinh(l/2) overflows past 1420.95; omega = 2 e^(-l/2)
+        omega = 2.0 * math.exp(-l / 2.0)
+        if omega == 0.0:
+            raise DomainError(f"the collar halfwidth of curve length {l} "
+                              "underflows to 0 in double precision")
+        return omega
     return math.asinh(1.0 / math.sinh(l / 2.0))
 
 

@@ -53,6 +53,16 @@ class TestCylinderHalflength:
         with pytest.raises(DomainError):
             collar_cylinder_halflength(0.0)
 
+    def test_cap_whose_collar_margin_underflows(self):
+        # B(N) = e^-N is 0 in doubles past N ~ 745.13; angle_of_distance
+        # raised about its own argument there
+        assert collar_cylinder_halflength(745.0) == 5e-324
+        for cap in (746.0, 1000.0, 1e96):
+            with pytest.raises(DomainError) as err:
+                collar_cylinder_halflength(cap)
+            assert str(err.value).startswith(
+                f"length cap {cap} is out of range: the collar margin B(N)")
+
 
 class TestAssumptions:
     def test_derived_field(self):

@@ -70,8 +70,14 @@ class TestEval:
         (("dist", "0", "1", "1e300", "1"), "1381.55105579643"),
         (("mu-lb", "1e-310"), "455.302613705856"),
         (("mu-lb", "5e-324"), "474.807811528506"),
-        # this one rounded to 0: |z - w|^2 underflows
-        (("dist", "0", "1", "1e-170", "1"), "1e-170")])
+        # these rounded to 0: |z - w|^2 underflows
+        (("dist", "0", "1", "1e-170", "1"), "1e-170"),
+        (("dist", "0", "1", "5e-324", "1"), "4.94065645841247e-324"),
+        # these lost the last bit of a subnormal distance
+        (("dist", "0", "1", "1.5e-323", "1"), "1.48219693752374e-323"),
+        (("dist", "0", "1", "2.5e-323", "1"), "2.47032822920623e-323"),
+        # sinh(l/2) overflowed
+        (("omega", "1430"), "6.03219586826754e-311")])
     def test_values_that_used_to_round_away(self, capsys, argv, expected):
         code, out, err = run(capsys, "eval", *argv)
         assert (code, err, out.strip()) == (0, "", expected)
@@ -101,6 +107,25 @@ class TestEval:
                              "--bishop-c", "1")
         assert (code, out) == (3, "")
         assert "length cap 400.0 is out of range" in err
+
+    @pytest.mark.parametrize("argv,cap", [
+        (("eval", "L", "746"), "746.0"),
+        (("bounds", "1", "--cap", "1000", "--bishop-c", "1"), "1000.0"),
+        (("verify", "sandwich", "--grid", "0.5:1000:3"), "1000.0")])
+    def test_cap_whose_collar_margin_underflows(self, capsys, argv, cap):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert (f"length cap {cap} is out of range: the collar margin B(N) "
+                "underflows to 0") in err
+        assert "angle_of_distance" not in err
+        # the last integer cap whose collar margin is not 0
+        code, out, err = run(capsys, "eval", "L", "745")
+        assert (code, err, out.strip()) == (0, "", "4.94065645841247e-324")
+
+    def test_halfwidth_that_underflows(self, capsys):
+        code, out, err = run(capsys, "eval", "omega", "1495")
+        assert (code, out) == (3, "")
+        assert "curve length 1495.0 underflows to 0" in err
 
     @pytest.mark.parametrize("argv", [
         ("eval", "seam-angle", "inf"), ("eval", "L", "inf"),

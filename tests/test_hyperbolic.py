@@ -145,6 +145,23 @@ class TestDistance:
             assert abs(hyp_distance(a, b) - exact) <= 1e-15 * exact
             assert abs(hyp_distance_crossratio(a, b) - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 1001, 2 ** 52 - 1,
+                                   2 ** 52 + 1, 2 ** 53 - 1])
+    @pytest.mark.parametrize("y", [1.0, 1e-300, 1e300])
+    def test_subnormal_separation_against_mpmath(self, k, y):
+        # at y = 1 the distance is the separation itself; both routes
+        # halved it, giving 0 at k = 1 and losing the last bit of odd k
+        # (from 2^52 on, where s is normal and s / 2 is not, in the cosh
+        # route); at y = 1e300 it rounds to 0
+        z, w = hp(0.0, y), hp(k * 5e-324, y)
+        with mpmath.workdps(60):
+            exact = float(2 * mpmath.asinh(mpmath.mpf(w.x) / (2 * y)))
+        if y == 1.0:
+            assert exact == w.x
+        for a, b in ((z, w), (w, z)):
+            for route in (hyp_distance, hyp_distance_crossratio):
+                assert route(a, b) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("z,w", [
         (hp(0.0, 1.0), hp(1e300, 1.0)),
         (hp(-1e200, 1e-100), hp(1e200, 1e-100)),
@@ -290,6 +307,24 @@ class TestCollar:
         assert collar_margin(l) == pytest.approx(float(margin), rel=1e-15)
         assert collar_halfwidth(l) == pytest.approx(float(halfwidth),
                                                     rel=1e-15)
+
+    @pytest.mark.parametrize("l", [1420.5, 1421.0, 1430.0, 1460.0, 1489.0])
+    def test_halfwidth_past_the_overflow_of_sinh(self, l):
+        # sinh(l/2) overflows past l ~ 1420.95; omega = 2 e^(-l/2) is
+        # subnormal there, so the error is counted in units of 5e-324
+        with mpmath.workdps(50):
+            exact = mpmath.asinh(1 / mpmath.sinh(mpmath.mpf(l) / 2))
+        assert abs(collar_halfwidth(l) - exact) <= 1e-323
+
+    def test_halfwidth_below_the_overflow_keeps_its_formula(self):
+        for l in (700.0, 1419.0, 1420.0):
+            assert collar_halfwidth(l) == math.asinh(1.0
+                                                     / math.sinh(l / 2.0))
+
+    def test_halfwidth_that_underflows(self):
+        assert collar_halfwidth(1490.0) > 0.0
+        with pytest.raises(DomainError, match="curve length 1495.0"):
+            collar_halfwidth(1495.0)
 
     def test_collar_data_consistent(self):
         data = collar_data(2.0)

@@ -1,11 +1,14 @@
 """The column suites against per-point references.
 
 sandwich and twist-lower evaluate the float cores of the bound chain and
-of the affine dilatation on numpy columns, and example81 walks n in
-blocks.  Each reference below is the per-point loop through the public
-API (or, for example81, one pass over the whole array) that the suite
-replaced; the two must write the same CSV, failures, min_slack and
-notes, and raise the same error on the same row.
+of the affine dilatation on numpy columns, example81 walks n in blocks,
+and metric-axioms draws each trial's stream in bare random() and
+standard_normal() calls and takes its sup-norm side as row maxima.  Each
+reference below is the per-point loop through the public API (for
+example81, one pass over the whole array; for metric-axioms, the
+per-trial uniform() and normal() draws and one supnorm_distance per
+trial) that the suite replaced; the two must write the same CSV,
+failures, min_slack and notes, and raise the same error on the same row.
 """
 
 import csv
@@ -18,12 +21,14 @@ import pytest
 
 from fnteich import bounds as qb
 from fnteich import conformal as cf
+from fnteich import fnspace as fns
 from fnteich import hyperbolic as hyp
 from fnteich import twist as tw
 from fnteich.errors import DomainError
 from fnteich.families import COTH1_SQ, pants1_arc_excess
 from fnteich.reports import VerificationReport
-from fnteich.suites import (EXAMPLE81_BLOCK, GridSpec, run_example81,
+from fnteich.suites import (EXAMPLE81_BLOCK, METRIC_SEED, METRIC_SLAB,
+                            GridSpec, run_example81, run_metric_axioms,
                             run_sandwich, run_twist_lower)
 
 
@@ -118,6 +123,56 @@ def reference_example81(grid, csv_writer):
     return report
 
 
+def reference_metric_axioms(grid, csv_writer):
+    trials = grid.steps if grid is not None else 1000
+    rng = np.random.default_rng(METRIC_SEED)
+    report = VerificationReport(
+        "metric-axioms",
+        f"{trials} random windows of size <= 200, seed {METRIC_SEED}",
+        csv_writer)
+    names = ("embedding_isometry_exact", "symmetry_exact", "identity_zero",
+             "triangle")
+    for first in range(0, trials, METRIC_SLAB):
+        count = min(METRIC_SLAB, trials - first)
+        sizes, patterns = [], []
+        draws = [([], []) for _ in "xyz"]   # (log10 lengths, twists)
+        for _ in range(count):
+            size = int(rng.integers(1, 201))
+            sizes.append(size)
+            patterns.append(rng.random(size) < 0.15)
+            for log_lengths, twists in draws:
+                log_lengths.append(rng.uniform(math.log10(0.05), 1.0, size))
+                twists.append(rng.normal(0.0, 3.0, size))
+        pattern = np.concatenate(patterns)
+        x, y, z = (fns.StructureWindow(10.0 ** np.concatenate(u),
+                                       np.concatenate(v), pattern)
+                   for u, v in draws)
+        starts = np.cumsum([0] + sizes[:-1])
+        dxy = fns.fn_distance_blocks(x, y, starts)
+        dyx = fns.fn_distance_blocks(y, x, starts)
+        dxz = fns.fn_distance_blocks(x, z, starts)
+        dyz = fns.fn_distance_blocks(y, z, starts)
+        dxx = fns.fn_distance_blocks(x, x, starts)
+        ex, ey = fns.to_linf(x), fns.to_linf(y)
+        sup = np.array([fns.supnorm_distance(
+            fns.LinfImage(*(c[a:a + n] for c in ex)),
+            fns.LinfImage(*(c[a:a + n] for c in ey)))
+            for a, n in zip(starts.tolist(), sizes)])
+        zero = np.zeros(count)
+        report.check_many(
+            names, [(trial,) for trial in range(first, first + count)],
+            np.column_stack((zero, zero, zero, dxy + dyz)),
+            np.column_stack((abs(dxy - sup), abs(dxy - dyx), dxx, dxz)),
+            tol=(0.0, 0.0, 0.0, 1e-12))
+    axis = GridSpec(0.1, 10.0, 7).log_points()
+    inputs = list(itertools.product(axis, axis, (1.0, 1.22, 1.5, 2.0, 4.0)))
+    agree = [[1.0 if fns.wolpert_check(lx, ly, k).passed
+              == (abs(math.log(lx) - math.log(ly)) <= math.log(k))
+              else -1.0] for lx, ly, k in inputs]
+    report.check_many(("wolpert_equivalence",), inputs, agree, 0.0)
+    return report
+
+
 def outcome(suite, grid):
     """Everything a run leaves behind: the CSV written, and either the
     report's fields or the error raised."""
@@ -146,9 +201,9 @@ def assert_same_outcome(suite, reference, grid):
     # the rows of the smaller C come first
     (GridSpec(1e-10, 1e308, 4), "log K must be >= 0, got nan"),
     # the bounds overflow at N = 1e-10 and C = 5e307, then the collar
-    # margin of N ~ 1e96 is 0
-    (GridSpec(1e-10, 5e307, 4), "angle_of_distance requires d > 0"),
-    (GridSpec(0.5, 1000.0, 3), "angle_of_distance requires d > 0"),
+    # margin of N = 7.9e95 is 0
+    (GridSpec(1e-10, 5e307, 4), "length cap 7.93700525984117e+95 is out"),
+    (GridSpec(0.5, 1000.0, 3), "length cap 1000.0 is out of range"),
 ])
 def test_sandwich_matches_loop(grid, error):
     written, result = assert_same_outcome(run_sandwich, reference_sandwich,
@@ -202,3 +257,12 @@ def test_example81_rise_across_a_seam(monkeypatch):
     report = run_example81(GridSpec(1.0, 2.0 * EXAMPLE81_BLOCK, 2))
     [fail] = [r for r in report.failures if r.name == "nonincreasing"]
     assert fail.lhs == -8.0
+
+
+@pytest.mark.parametrize("trials", [2, 99, 100, 101, 250, 1000])
+def test_metric_axioms_matches_per_trial_draws(trials):
+    # the partial last slab, one slab exactly, and the default grid
+    grid = None if trials == 1000 else GridSpec(1.0, 2.0, trials)
+    _, result = assert_same_outcome(run_metric_axioms,
+                                    reference_metric_axioms, grid)
+    assert result[2] == []
