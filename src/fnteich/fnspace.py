@@ -127,17 +127,18 @@ class StructureGenerator(Validated, namedtuple(
 
 
 class StructureWindow(Validated, namedtuple(
-        "StructureWindow", "lengths twists boundary generator linf")):
+        "StructureWindow", "lengths twists boundary generator packed linf")):
     """Coordinates of curves 1..window_size as three read-only numpy
     columns: `lengths`, `twists` (0.0 on boundary curves) and the
     `boundary` mask, with an optional generator recording the infinite
     structure being truncated.  The constructor copies and validates the
-    columns and derives `linf`, the to_linf image; `coords` is a derived
-    per-curve view.  Windows compare and hash by identity, since a
-    tuple comparison of array columns raises."""
+    columns and derives `packed`, the to_linf image as one read-only
+    (2, n) array, and `linf`, whose value columns are its rows; `coords`
+    is a derived per-curve view.  Windows compare and hash by identity,
+    since a tuple comparison of array columns raises."""
 
     __slots__ = ()
-    _derived = ("linf",)
+    _derived = ("packed", "linf")
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __new__(cls, lengths, twists, boundary, generator=None):
@@ -153,19 +154,32 @@ class StructureWindow(Validated, namedtuple(
         if not lengths.size:
             raise UsageError("a window must contain at least one curve")
         # min and max propagate NaN, so it fails both tests
-        if not (lengths.min() > 0.0 and lengths.max() < math.inf):
+        top = float(lengths.max())
+        if not (lengths.min() > 0.0 and top < math.inf):
             bad = ~((lengths > 0.0) & (lengths < math.inf))
             raise DomainError(
                 f"curve length must be > 0, got {lengths[bad][0]}")
         twists[boundary] = 0.0
-        if not np.isfinite(twists).all():
-            bad = ~np.isfinite(twists)
-            raise DomainError(f"twist must be finite, got {twists[bad][0]}")
-        linf = LinfImage(np.log(lengths), lengths * twists, boundary)
-        for column in (lengths, twists, *linf):
+        # top * max |twist| bounds every |length * twist| after rounding
+        # too, and a NaN twist fails the test
+        if not top * float(np.abs(twists).max()) < math.inf:
+            with np.errstate(over="ignore"):
+                bad = ~np.isfinite(lengths * twists)
+            if bad.any():
+                i = int(bad.argmax())
+                raise DomainError(
+                    f"curve {i + 1}: length {lengths[i]} times twist "
+                    f"{twists[i]} overflows double precision"
+                    if math.isfinite(twists[i]) else
+                    f"twist must be finite, got {twists[i]}")
+        packed = np.empty((2, lengths.size))
+        np.log(lengths, out=packed[0])
+        np.multiply(lengths, twists, out=packed[1])
+        for column in (lengths, twists, boundary, packed):
             column.flags.writeable = False
         return tuple.__new__(cls, (lengths, twists, boundary, generator,
-                                   linf))
+                                   packed, LinfImage(packed[0], packed[1],
+                                                     boundary)))
 
     @classmethod
     def from_table(cls, coords) -> "StructureWindow":
@@ -220,16 +234,23 @@ def _check_aligned(x: StructureWindow, y: StructureWindow):
     if x.window_size != y.window_size:
         raise UsageError(f"window sizes differ: {x.window_size} vs "
                          f"{y.window_size}")
-    if (x.boundary != y.boundary).any():
+    if x.boundary.tobytes() != y.boundary.tobytes():
         raise UsageError("boundary/interior patterns differ between windows")
 
 
-def _embedded(kind: str, w: StructureWindow):
-    """The two columns of w that the metric `kind` compares: the to_linf
-    columns (log length, length * twist) for fn; raw_length and
-    raw_twist replace one of them by the raw length or the raw twist."""
-    return (w.lengths if kind == "raw_length" else w.linf.log_length,
-            w.twists if kind == "raw_twist" else w.linf.length_times_twist)
+def _embedded(kind: str, lengths, twists, image):
+    """The two columns that the metric `kind` compares, given the
+    columns and their to_linf rows `image`: the rows for fn; raw_length
+    and raw_twist replace one by the raw length or the raw twist."""
+    return (lengths if kind == "raw_length" else image[0],
+            twists if kind == "raw_twist" else image[1])
+
+
+def _row_max(d: np.ndarray) -> np.ndarray:
+    """max(|d[0]|, |d[1]|) per curve of a (2, n) array of differences,
+    written over d, so argmax of it finds the first maximising curve."""
+    u = np.abs(d, out=d)[0]
+    return np.maximum(u, d[1], out=u)
 
 
 def _sup_terms(ex, ey) -> np.ndarray:
@@ -238,14 +259,20 @@ def _sup_terms(ex, ey) -> np.ndarray:
     columns hold 0.0 on boundary curves (windows zero the twists
     there), so the term is the u term alone on those curves."""
     (ux, vx), (uy, vy) = ex, ey
-    return np.maximum(np.abs(ux - uy), np.abs(vx - vy))
+    d = np.empty((2, len(ux)))
+    np.subtract(ux, uy, out=d[0])
+    np.subtract(vx, vy, out=d[1])
+    return _row_max(d)
 
 
 def _terms(x: StructureWindow, y: StructureWindow, kind: str) -> np.ndarray:
     """Per-curve terms of the metric `kind` on aligned windows.  The fn
-    terms are the sup-norm terms of the to_linf images, so the
+    terms are the sup-norm terms of the packed to_linf images, so the
     embedding identity holds exactly."""
-    return _sup_terms(_embedded(kind, x), _embedded(kind, y))
+    if kind == "fn":
+        return _row_max(np.subtract(x.packed, y.packed))
+    return _sup_terms(_embedded(kind, x.lengths, x.twists, x.packed),
+                      _embedded(kind, y.lengths, y.twists, y.packed))
 
 
 def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
@@ -256,11 +283,13 @@ def _exactness(x: StructureWindow, y: StructureWindow, window_sup: float,
     if (gx is None or gy is None
             or max(gx.settle_index(), gy.settle_index()) > x.window_size):
         return "window-truncated"
-    # the term past the settle index, from a window of the two tails: its
-    # columns go through the windows' numpy log and product, so a tail
-    # term that ties the window supremum compares equal to it
-    u, v = _embedded(kind, StructureWindow.from_table([gx.tail, gy.tail]))
-    tail = _sup_terms((u[:1], v[:1]), (u[1:], v[1:]))[0]
+    # the term past the settle index, from the two tails through the
+    # windows' numpy log and product, so a tail term that ties the
+    # window supremum compares equal to it
+    lengths, twists = np.array(_columns([gx.tail, gy.tail])[:2])
+    (ux, uy), (vx, vy) = _embedded(kind, lengths, twists,
+                                   (np.log(lengths), lengths * twists))
+    tail = max(abs(ux - uy), abs(vx - vy))
     return "exact" if tail <= window_sup else "window-truncated"
 
 
@@ -336,8 +365,8 @@ def to_linf(x: StructureWindow) -> LinfImage:
     """Embed a window into the sequence space: index i maps to
     (log length, length * twist), with no second component on boundary
     curves.  The image is computed once per window, and fn_distance
-    reads the same columns, so the sup-norm distance of two embedded
-    windows equals fn_distance by construction."""
+    reads the window's packed array, whose rows are these columns, so
+    the sup-norm distance of two embedded windows equals fn_distance."""
     return x.linf
 
 
@@ -345,7 +374,7 @@ def supnorm_distance(ex: LinfImage, ey: LinfImage) -> float:
     """Sup-norm distance between two to_linf images."""
     if ex.boundary.shape != ey.boundary.shape:
         raise UsageError("embedded sequences differ in length")
-    if (ex.boundary != ey.boundary).any():
+    if ex.boundary.tobytes() != ey.boundary.tobytes():
         raise UsageError("boundary patterns differ")
     return float(_sup_terms(ex[:2], ey[:2]).max(initial=0.0))
 

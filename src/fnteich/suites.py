@@ -186,8 +186,7 @@ def run_twist_lower(grid: GridSpec | None = None,
         ks, _ = cf._affine_k_mu(tw.shear_coefficient(
             np.array(times), np.array(angles)[:, None]), np)
     for l, t in [inputs[i] for i in np.flatnonzero(~np.isfinite(ks))[:1]]:
-        cf.affine_dilatation(tw.shear_coefficient(
-            t, hyp.collar_data(l).angle))      # raises DomainError
+        tw.twist_dilatation(tw.TwistScenario(l, t))   # raises DomainError
     report.check_many((tw.TWIST_LOWER_CHECK,), inputs, ks.reshape(-1, 1),
                       np.tile(floors, len(lengths))[:, None],
                       tol=tw.TWIST_LOWER_TOL)

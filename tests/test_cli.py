@@ -345,6 +345,24 @@ class TestEmbed:
             "index,log_length,length_times_twist",
             f"1,{math.log(2.0)!r},", f"2,{math.log(0.5)!r},1.5"]
 
+    @pytest.mark.parametrize("command", ["dist", "embed"])
+    def test_overflowing_length_times_twist(self, capsys, tmp_path,
+                                            command):
+        # 1e300 * 1e10 is not a double: the window is refused, where
+        # dist printed `distance nan` and embed `inf` with exit 0
+        paths = []
+        for name, twist in (("a", "1e10"), ("b", "2e10")):
+            paths.append(tmp_path / f"{name}.fnstruct")
+            paths[-1].write_text(f"fnstruct v1\n1 1e300 {twist}\n"
+                                 "2 1.0 0.0\n")
+        argv = paths if command == "dist" else paths[:1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, *map(str, argv))
+        assert (code, out) == (3, "")
+        assert ("curve 1: length 1e+300 times twist 10000000000.0 "
+                "overflows double precision") in err
+
 
 class TestBounds:
     def test_report_lines(self, capsys):
@@ -407,6 +425,19 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert ("hexagon side lengths must be finite and > 0, got "
                 "(0.0, 0.0, 3.326996054616522e-31)") in err
+
+    def test_twist_lower_names_a_length_without_a_collar(self, capsys):
+        # the collar angle of 1e-16 rounds to pi/2; the suite refuses the
+        # length with the message of `eval twist-k 1e-16 1`
+        message = ("the collar of curve length 1e-16 is not representable "
+                   "in double precision (collar angle must lie in (0, pi/2))")
+        code, out, err = run(capsys, "verify", "twist-lower", "--grid",
+                             "1e-16:0.1:3")
+        assert (code, out) == (3, "")
+        assert message in err
+        code, out, err = run(capsys, "eval", "twist-k", "1e-16", "1")
+        assert (code, out) == (3, "")
+        assert message in err
 
     def test_small_collar_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "collar", "--grid", "0.5:2:3")

@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnteich.errors import DomainError, FormatError, UsageError
-from fnteich.fnspace import (CUSP, FNCoordinate, PantsGraph,
+from fnteich.fnspace import (CUSP, FNCoordinate, FNDistanceResult,
+                             LinfImage, PantsGraph,
                              StructureGenerator, StructureWindow,
                              fn_distance, fn_distance_blocks,
                              fn_distance_variant,
@@ -66,14 +68,16 @@ class TestWindowColumns:
 
     def test_linf_derived_on_every_path(self):
         w = window_from([(1.0, 0.5), (2.0, None)])
-        with pytest.raises(ValueError, match="derived"):
-            w._replace(linf=None)
+        for field in ("linf", "packed"):
+            with pytest.raises(ValueError, match="derived"):
+                w._replace(**{field: None})
         moved = w._replace(lengths=[4.0, 8.0])
         assert moved.linf.log_length.tolist() == [math.log(4.0),
                                                   math.log(8.0)]
         assert moved.linf.length_times_twist.tolist() == [2.0, 0.0]
         back = pickle.loads(pickle.dumps(w))
         assert back.linf.log_length.tolist() == w.linf.log_length.tolist()
+        assert back.packed.tobytes() == w.packed.tobytes()
         assert not back.linf.log_length.flags.writeable
 
     def test_constructor_copies(self):
@@ -91,6 +95,28 @@ class TestWindowColumns:
     def test_nonfinite_twist_rejected(self, twist):
         with pytest.raises(DomainError):
             StructureWindow([1.0, 1.0], [0.0, twist], [False, False])
+
+    def test_overflowing_product_rejected(self):
+        # l * t is not a double, so row 1 of the image would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=(
+                    r"curve 2: length 1e\+300 times twist 10000000000.0 "
+                    "overflows")):
+                StructureWindow([1.0, 1e300, 1e300], [0.0, 1e10, 2e10],
+                                [False] * 3)
+            with pytest.raises(DomainError, match="curve 1: length 1e\\+300"):
+                StructureWindow.from_generator(StructureGenerator(
+                    kind="constant", length=1e300, twist=1e10), 3)
+
+    def test_products_near_the_overflow_accepted(self):
+        # the longest length times the largest twist overflows, but no
+        # curve's own product does; a boundary curve's twist is 0
+        w = StructureWindow([1e300, 1.0, 1e300], [0.0, 1e10, 1e10],
+                            [False, False, True])
+        assert w.packed[1].tolist() == [0.0, 1e10, 0.0]
+        top = StructureWindow([1e300], [-1.7e8], [False])
+        assert top.packed[1].tolist() == [1e300 * -1.7e8]
 
     @pytest.mark.parametrize("columns", [
         ([1.0, 1.0], [0.0], [False, False]),
@@ -451,6 +477,184 @@ class TestEmbedding:
         y = window_from(other)
         assert fn_distance(x, y).value == supnorm_distance(to_linf(x),
                                                            to_linf(y))
+
+
+# The coordinate metric as it was computed before the packed image, one
+# numpy call per column and per step, on columns computed here from
+# the window's lengths and twists: the references of TestPackedImage.
+def reference_embedded(kind, w):
+    return (w.lengths if kind == "raw_length" else np.log(w.lengths),
+            w.twists if kind == "raw_twist" else w.lengths * w.twists)
+
+
+def reference_sup_terms(ex, ey):
+    (ux, vx), (uy, vy) = ex, ey
+    return np.maximum(np.abs(ux - uy), np.abs(vx - vy))
+
+
+def reference_terms(x, y, kind):
+    return reference_sup_terms(reference_embedded(kind, x),
+                               reference_embedded(kind, y))
+
+
+def reference_exactness(x, y, window_sup, kind):
+    if x.generator is None and y.generator is None:
+        return "exact"
+    gx, gy = x.generator, y.generator
+    if (gx is None or gy is None
+            or max(gx.settle_index(), gy.settle_index()) > x.window_size):
+        return "window-truncated"
+    u, v = reference_embedded(
+        kind, StructureWindow.from_table([gx.tail, gy.tail]))
+    tail = reference_sup_terms((u[:1], v[:1]), (u[1:], v[1:]))[0]
+    return "exact" if tail <= window_sup else "window-truncated"
+
+
+def reference_distance(x, y, kind):
+    terms = reference_terms(x, y, kind)
+    i = int(terms.argmax())
+    best = float(terms[i])
+    return FNDistanceResult(best, reference_exactness(x, y, best, kind),
+                            i + 1)
+
+
+def reference_supnorm(ex, ey):
+    return float(reference_sup_terms(ex[:2], ey[:2]).max(initial=0.0))
+
+
+KINDS = ("fn", "raw_twist", "raw_length")
+
+
+def distance(x, y, kind):
+    return fn_distance(x, y) if kind == "fn" else fn_distance_variant(
+        x, y, kind)
+
+
+def assert_same_result(got, want):
+    """Equal value bits, exactness flag and attained index."""
+    assert type(got.value) is float
+    assert ((got.value.hex(), got.exactness, got.attained_index)
+            == (want.value.hex(), want.exactness, want.attained_index))
+
+
+def seeded_triple(size, seed):
+    """Three windows on one boundary pattern, by the metric-axioms law."""
+    rng = np.random.default_rng(seed)
+    boundary = rng.random(size) < 0.15
+    return [StructureWindow(10.0 ** rng.uniform(-1.3, 1.0, size),
+                            rng.normal(0.0, 3.0, size), boundary)
+            for _ in range(3)]
+
+
+def tied_pair(kind, twist_first):
+    """Windows whose curve 1 and curve 2 terms tie: the v (twist) term
+    of one curve equals the u (length) term of the other, which comes
+    first in index order when `twist_first` is false."""
+    lengths = [1.0, 5.0] if twist_first else [5.0, 1.0]
+    at = 1 if twist_first else 0          # the curve of the length term
+    probe = StructureWindow(lengths, [0.0, 0.0], [False, False])
+    y = StructureWindow([1.0, 1.0], [0.0, 0.0], [False, False])
+    tie = float(reference_terms(probe, y, kind)[at])
+    twists = [0.0, 0.0]
+    twists[1 - at] = tie                  # on a curve of length 1.0
+    return StructureWindow(lengths, twists, [False, False]), y, tie
+
+
+class TestPackedImage:
+    @pytest.mark.parametrize("size", [1, 2, 10, 200, 10_000])
+    def test_image_rows_are_the_linf_columns(self, size):
+        x, _, _ = seeded_triple(size, size)
+        assert x.packed.shape == (2, size)
+        assert x.packed.dtype == np.float64
+        assert x.packed.flags.c_contiguous
+        assert not x.packed.flags.writeable
+        for row, column in zip(x.packed, x.linf[:2]):
+            assert np.shares_memory(row, column)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        for got, want in zip(x.linf[:2], reference_embedded("fn", x)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 10, 200, 10_000])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_seeded_windows_match_the_reference(self, size, kind):
+        x, y, z = seeded_triple(size, 1000 + size)
+        for a, b in ((x, y), (y, x), (x, z), (y, z), (x, x)):
+            assert_same_result(distance(a, b, kind),
+                               reference_distance(a, b, kind))
+
+    @pytest.mark.parametrize("twist_first", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ties_across_the_two_terms(self, kind, twist_first):
+        x, y, tie = tied_pair(kind, twist_first)
+        res = distance(x, y, kind)
+        assert_same_result(res, reference_distance(x, y, kind))
+        assert (res.value, res.attained_index) == (tie, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_window_against_itself(self, kind):
+        x, _, _ = seeded_triple(200, 3)
+        res = distance(x, x, kind)
+        assert_same_result(res, reference_distance(x, x, kind))
+        assert (res.value, res.exactness, res.attained_index) == (
+            0.0, "exact", 1)
+
+    @pytest.mark.parametrize("pair,window", [
+        # settled inside the window, then outside it
+        (("ex_fn1_x", "ex_fn1_y", 4), 8), (("ex_fn1_x", "ex_fn1_y", 4), 3),
+        (("ex_fn2_x", "ex_fn2_y", 10), 15), (("ex_fn2_x", "ex_fn2_y", 10), 9),
+        (("ex_fn1_x", "ex_fn2_y", 1), 1), (("ex_fn1_y", "ex_fn2_x", 1000),
+                                           1500)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_pairs_match_the_reference(self, kind, pair, window):
+        fx, fy, n = pair
+        x, y = (StructureWindow.from_generator(
+            StructureGenerator(kind=f, n=n), window) for f in (fx, fy))
+        assert_same_result(distance(x, y, kind),
+                           reference_distance(x, y, kind))
+
+    @pytest.mark.parametrize("length,twist", [
+        (5.423, 0.0), (5.423, 1.3), (0.07, -2.9), (0.3, None)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tail_that_ties_the_window_sup(self, kind, length, twist):
+        # every index carries the tail term, so the window supremum ties
+        # it, and the flag reads "exact" only if both take the same bits
+        x, y = (StructureWindow.from_generator(StructureGenerator(
+            kind="constant", length=l, twist=t), 3)
+            for l, t in ((length, twist),
+                         (1.0, None if twist is None else 0.0)))
+        res = distance(x, y, kind)
+        assert_same_result(res, reference_distance(x, y, kind))
+        assert res.exactness == "exact"
+        literal = StructureWindow(x.lengths, x.twists, x.boundary)
+        assert distance(literal, y, kind).exactness == "window-truncated"
+
+    @pytest.mark.parametrize("size", [1, 10, 200, 10_000])
+    def test_blocks_match_the_reference(self, size):
+        x, y, _ = seeded_triple(size, 7 * size)
+        rng = np.random.default_rng(size)
+        cuts = np.unique(rng.integers(1, size, min(size - 1, 40)))
+        starts = np.concatenate([[0], cuts]).astype(np.int64)
+        want = np.maximum.reduceat(reference_terms(x, y, "fn"), starts)
+        assert fn_distance_blocks(x, y, starts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 10, 200, 10_000])
+    def test_supnorm_matches_the_reference(self, size):
+        x, y, _ = seeded_triple(size, 11 * size)
+        ex, ey = to_linf(x), to_linf(y)
+        assert supnorm_distance(ex, ey) == reference_supnorm(ex, ey)
+        assert supnorm_distance(ex, ey) == fn_distance(x, y).value
+        # images on reversed strided slices, and on the columns of an
+        # (n, 2) array, whose stride is two doubles
+        sx, sy = (LinfImage(*(c[::-2] for c in e)) for e in (ex, ey))
+        assert not sx.log_length.flags.c_contiguous or size <= 2
+        px, py = (np.stack(e[:2], axis=1) for e in (ex, ey))
+        cx, cy = (LinfImage(p[:, 0], p[:, 1], e.boundary)
+                  for p, e in ((px, ex), (py, ey)))
+        for a, b in ((sx, sy), (cx, cy)):
+            assert (supnorm_distance(a, b).hex()
+                    == reference_supnorm(a, b).hex())
 
 
 class TestUpperBounded:

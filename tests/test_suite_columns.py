@@ -22,7 +22,6 @@ import pytest
 from fnteich import bounds as qb
 from fnteich import conformal as cf
 from fnteich import fnspace as fns
-from fnteich import hyperbolic as hyp
 from fnteich import twist as tw
 from fnteich.errors import DomainError
 from fnteich.families import COTH1_SQ, pants1_arc_excess
@@ -41,11 +40,8 @@ def reference_twist_lower(grid, csv_writer):
         f"l {grid.describe()} (log) x t 0:10:50 (lin, open at 0)",
         csv_writer)
     floors = [cf.twist_min_dilatation(t) for t in times]
-    ks = []
-    for l in lengths:
-        angle = hyp.collar_data(l).angle
-        ks += [[cf.affine_dilatation(tw.shear_coefficient(t, angle)).k]
-               for t in times]
+    ks = [[tw.twist_dilatation(tw.TwistScenario(l, t)).k]
+          for l in lengths for t in times]
     report.check_many((tw.TWIST_LOWER_CHECK,),
                       list(itertools.product(lengths, times)), ks,
                       [[floor] for _ in lengths for floor in floors],
